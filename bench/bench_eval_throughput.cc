@@ -1,24 +1,24 @@
 // What-if evaluation throughput: the seed deep-copy + full-rescore path vs
-// CoW clones + delta-aware rescoring vs CoW + flat-arena full rescoring
-// (docs/performance.md), on the parametric forests of the Figure 5
-// efficiency study.
+// the read-only what-if (docs/performance.md "Read-only what-if"), on the
+// parametric forests of the Figure 5 efficiency study.
 //
-// An UnlearnRemovalMethod evaluation is clone + DeleteRows + rescore; the
-// CoW pipeline optimizes the clone and rescore legs, while DeleteRows does
-// identical work on either path. The bench therefore sweeps the deletion
-// batch size: small batches isolate the optimized legs (the streaming
-// engine's common case), the largest batch approximates the search's
-// support-range row sets where unlearning work dominates both paths. The
-// arena strategy targets the large batches, where a broad mutation makes
-// the pointer diff-walk re-walk most rows anyway: changed trees are
-// rescored by streaming every test row through their compiled SoA arenas.
-// Reports evaluations/sec and bytes cloned per evaluation per cell, plus
-// full top-k searches at 1/4/8 threads whose outputs are checked identical
+// A deep-copy evaluation is DeepClone + DeleteRows + PredictAll; a
+// read-only one scores "forest minus S" straight from the base forest
+// (TestPredictionCache::ScoreWithout) — no clone, no node copy, no arena —
+// doing the same split re-checks and the same retrain histogram passes.
+// The bench sweeps the deletion batch size: small batches isolate the
+// clone and rescore legs the read-only path drops (the streaming engine's
+// common case), the largest batch approximates the search's support-range
+// row sets where retrain work dominates both paths. Reports
+// evaluations/sec and bytes cloned per evaluation per cell, checks every
+// read-only evaluation against the deep-copy one bit for bit, plus full
+// top-k searches at 1/4/8 threads whose outputs are checked identical
 // across every strategy x thread cell, plus a direct arena-vs-pointer
 // byte-identity probe. Artifacts: eval_throughput.csv (+ metrics snapshot)
 // and BENCH_eval.json in bench_artifacts/.
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -82,20 +82,17 @@ std::vector<std::vector<RowId>> MakeBatches(const Setup& s, int batch_size,
   return batches;
 }
 
-// The three evaluation pipelines under comparison. deep-copy is the seed
-// reference (eager clone + pointer-walk PredictAll); cow-delta pins the
-// pointer diff-walk for every batch size; arena is the production default
-// (diff-walk for small batches, arena full rescore from
-// kArenaFullRescoreMinBatch up).
+// The two evaluation pipelines under comparison: deep-copy is the seed
+// reference (eager clone + pointer-walk PredictAll), read-only the
+// production default.
 struct StrategySpec {
   const char* name;
   UnlearnRemovalMethod::Options options;
 };
 
 const StrategySpec kStrategies[] = {
-    {"deep-copy", {/*cow_delta=*/false, /*arena=*/false}},
-    {"cow-delta", {/*cow_delta=*/true, /*arena=*/false}},
-    {"arena", {/*cow_delta=*/true, /*arena=*/true}},
+    {"deep-copy", {/*read_only=*/false}},
+    {"read-only", {/*read_only=*/true}},
 };
 
 struct Throughput {
@@ -103,7 +100,21 @@ struct Throughput {
   double seconds = 0.0;
   double evals_per_sec = 0.0;
   int64_t clone_bytes_per_eval = 0;
+  /// Every evaluation's answer, in batch order, for the identity check.
+  std::vector<ModelEval> evals;
 };
+
+bool SameEvals(const std::vector<ModelEval>& a,
+               const std::vector<ModelEval>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i].fairness, &b[i].fairness, sizeof(double)) != 0 ||
+        std::memcmp(&a[i].accuracy, &b[i].accuracy, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // Serial evaluation loop. The warm-up evaluation (which also seeds the CoW
 // base prediction cache, a one-off cost amortized across a search) is
@@ -120,9 +131,11 @@ Throughput Measure(const Setup& s,
   const int64_t copied_before = copied->Value();
   Throughput t;
   Stopwatch watch;
+  t.evals.reserve(batches.size());
   for (const auto& rows : batches) {
     auto eval = removal.EvaluateWithout(rows);
     FUME_ABORT_NOT_OK(eval.status());
+    t.evals.push_back(*eval);
     ++t.evaluations;
   }
   t.seconds = watch.ElapsedSeconds();
@@ -130,8 +143,9 @@ Throughput Measure(const Setup& s,
                         ? static_cast<double>(t.evaluations) / t.seconds
                         : 0.0;
   const int64_t forest_bytes = s.model.ApproxHeapBytes();
-  if (options.cow_delta) {
-    // CoW copies individual nodes; charge each the forest's mean node size.
+  if (options.read_only) {
+    // Read-only evaluations copy nothing; charge any node copy (there
+    // should be none) the forest's mean node size, so one would show.
     const int64_t nodes = s.model.num_nodes();
     const int64_t node_bytes = nodes > 0 ? forest_bytes / nodes : 0;
     t.clone_bytes_per_eval = t.evaluations > 0
@@ -160,9 +174,8 @@ std::string TopKSignature(const FumeResult& result, const Schema& schema) {
 int main(int argc, char** argv) {
   const bool smoke = SmokeMode(argc, argv);
   const bool full = !smoke && FullMode(argc, argv);
-  PrintBanner(
-      "What-if evaluation throughput: deep-copy vs CoW + delta vs arena",
-      "docs/performance.md / Figure 5 forests");
+  PrintBanner("What-if evaluation throughput: deep-copy vs read-only",
+              "docs/performance.md / Figure 5 forests");
 
   const std::vector<int64_t> sizes =
       smoke ? std::vector<int64_t>{2000}
@@ -170,20 +183,21 @@ int main(int argc, char** argv) {
                     : std::vector<int64_t>{2000, 5000, 10000, 20000});
   const int64_t mid_size = sizes[sizes.size() / 2];
   // 1/4: streaming-style single-op what-ifs (the clone + rescore legs
-  // dominate); 64/1024: toward the search's support-range subsets where
-  // shared unlearning work dominates both strategies. Smoke keeps one
-  // small and one large batch so the arena full-rescore leg runs in CI.
+  // dominate the deep copy); 64/1024: toward the search's support-range
+  // subsets where retrain work dominates both strategies. Smoke keeps two
+  // small batches and one large one.
   const std::vector<int> batch_sizes =
       smoke ? std::vector<int>{1, 4, 64} : std::vector<int>{1, 4, 64, 1024};
   const int kHeadlineBatch = 4;
-  const int kArenaHeadlineBatch = 64;
+  const int kLargeHeadlineBatch = 64;
   const int num_batches = smoke ? 8 : (full ? 96 : 48);
 
   TablePrinter table({"rows", "batch", "strategy", "evals", "evals/sec",
                       "clone KiB/eval", "speedup"});
   std::vector<std::vector<std::string>> artifact;
   double mid_speedup = 0.0;
-  double arena_speedup = 0.0;
+  double large_speedup = 0.0;
+  bool evals_identical = true;
 
   for (int64_t rows : sizes) {
     Setup s = MakeSetup(rows);
@@ -193,13 +207,15 @@ int main(int argc, char** argv) {
       for (const StrategySpec& strategy : kStrategies) {
         results.push_back(Measure(s, batches, strategy.options));
       }
+      evals_identical =
+          evals_identical && SameEvals(results[0].evals, results[1].evals);
       const double deep_rate = results.front().evals_per_sec;
-      const double cow_rate = results[1].evals_per_sec;
-      if (rows == mid_size && batch == kHeadlineBatch && deep_rate > 0.0) {
-        mid_speedup = cow_rate / deep_rate;
-      }
-      if (rows == mid_size && batch == kArenaHeadlineBatch && cow_rate > 0.0) {
-        arena_speedup = results[2].evals_per_sec / cow_rate;
+      const double read_only_rate = results[1].evals_per_sec;
+      if (rows == mid_size && deep_rate > 0.0) {
+        if (batch == kHeadlineBatch) mid_speedup = read_only_rate / deep_rate;
+        if (batch == kLargeHeadlineBatch) {
+          large_speedup = read_only_rate / deep_rate;
+        }
       }
       for (size_t i = 0; i < std::size(kStrategies); ++i) {
         const Throughput& t = results[i];
@@ -229,9 +245,10 @@ int main(int argc, char** argv) {
                 artifact);
 
   // Full searches: every strategy x thread cell must produce the same top-k
-  // (the CoW + arena pipelines' exactness claim, end to end — deep-copy
-  // cells walk pointers, arena cells stream the compiled arenas, and their
-  // searches must rank identical subsets with identical scores).
+  // (the read-only pipeline's exactness claim, end to end — deep-copy
+  // cells clone, unlearn and walk pointers, read-only cells never touch
+  // the forest, and their searches must rank identical subsets with
+  // identical scores).
   std::cout << "\nSearch identity check (mid-size forest, " << mid_size
             << " rows)\n";
   Setup s = MakeSetup(mid_size);
@@ -268,30 +285,36 @@ int main(int argc, char** argv) {
       s.model.PredictAll(s.test) == s.model.PredictAllPointer(s.test);
   std::cout << "top-k identical across all cells: "
             << (identical ? "yes" : "NO — exactness violation") << '\n'
+            << "read-only evaluations bit-identical to deep-copy: "
+            << (evals_identical ? "yes" : "NO — exactness violation") << '\n'
             << "arena vs pointer predictions byte-identical: "
             << (arena_identical ? "yes" : "NO — exactness violation") << '\n'
-            << "cow-delta speedup at " << mid_size << " rows, batch "
-            << kHeadlineBatch
-            << ", 1 thread: " << FormatDouble(mid_speedup, 2) << "x\n"
-            << "arena speedup over cow-delta at " << mid_size
-            << " rows, batch " << kArenaHeadlineBatch << ", 1 thread: "
-            << FormatDouble(arena_speedup, 2) << "x\n";
+            << "read-only speedup at " << mid_size << " rows, batch "
+            << kHeadlineBatch << ", 1 thread: " << FormatDouble(mid_speedup, 2)
+            << "x\n"
+            << "read-only speedup at " << mid_size << " rows, batch "
+            << kLargeHeadlineBatch << ", 1 thread: "
+            << FormatDouble(large_speedup, 2) << "x\n";
 
   std::ofstream json("bench_artifacts/BENCH_eval.json");
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"eval_throughput\",\n"
          << "  \"forest\": \"figure5-parametric (10 trees, depth 8)\",\n"
+         << "  \"machine\": " << MachineFingerprintJson() << ",\n"
          << "  \"mid_size_rows\": " << mid_size << ",\n"
          << "  \"headline_batch_rows\": " << kHeadlineBatch << ",\n"
-         << "  \"arena_headline_batch_rows\": " << kArenaHeadlineBatch
+         << "  \"large_headline_batch_rows\": " << kLargeHeadlineBatch
          << ",\n"
          << "  \"topk_identical\": " << (identical ? "true" : "false")
          << ",\n"
+         << "  \"readonly_deepcopy_identical\": "
+         << (evals_identical ? "true" : "false") << ",\n"
          << "  \"arena_pointer_identical\": "
          << (arena_identical ? "true" : "false") << ",\n"
-         << "  \"cow_speedup_1thread_mid\": " << mid_speedup << ",\n"
-         << "  \"arena_speedup_1thread_mid\": " << arena_speedup << ",\n"
+         << "  \"readonly_speedup_1thread_mid\": " << mid_speedup << ",\n"
+         << "  \"readonly_speedup_1thread_large\": " << large_speedup
+         << ",\n"
          << "  \"cells\": [\n";
     for (size_t i = 0; i < artifact.size(); ++i) {
       const auto& row = artifact[i];
@@ -308,5 +331,5 @@ int main(int argc, char** argv) {
   } else {
     std::cout << "could not write bench_artifacts/BENCH_eval.json\n";
   }
-  return identical && arena_identical ? 0 : 1;
+  return identical && evals_identical && arena_identical ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "forest/tree.h"
 #include "obs/metrics.h"
@@ -167,6 +168,40 @@ void WriteArtifact(const std::string& name,
   std::cout << "artifact written: " << path << " (" << rows.size()
             << " rows)\n";
   WriteMetricsSnapshot(name);
+}
+
+namespace {
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string JsonQuote(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+std::string MachineFingerprintJson() {
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": " + JsonQuote(CpuModel()) +
+         ", \"compiler\": " + JsonQuote(std::string("gcc ") + __VERSION__) +
+         ", \"build_type\": " + JsonQuote(FUME_BENCH_BUILD_TYPE) + "}";
 }
 
 void WriteMetricsSnapshot(const std::string& name) {

@@ -82,6 +82,11 @@ void WriteArtifact(const std::string& name,
                    const std::vector<std::string>& header,
                    const std::vector<std::vector<std::string>>& rows);
 
+/// The machine a BENCH_*.json cell ran on, as a JSON object: nproc, CPU
+/// model, compiler and build type. Artifacts embed it as "machine" so a
+/// comparison across hosts is visible as such.
+std::string MachineFingerprintJson();
+
 /// Writes bench_artifacts/<name>.metrics.json from the global registry
 /// (also called by WriteArtifact). Use after table benches that emit no
 /// CSV to still persist the run's counters.

@@ -62,18 +62,21 @@ for artifact in bench_artifacts/BENCH_unlearn.json bench_artifacts/BENCH_eval.js
   fi
 done
 
-# The eval bench must have exercised the arena strategy (and attested its
-# byte-identity against the pointer walk) even at smoke size — a silently
-# dropped strategy column would otherwise pass every structural check.
+# The eval bench must have exercised the read-only strategy (and attested
+# its bit-identity against the deep-copy reference, plus the arena walk's
+# against the pointer walk) even at smoke size — a silently dropped
+# strategy column would otherwise pass every structural check.
 if [ -f bench_artifacts/BENCH_eval.json ]; then
-  if ! grep -q '"strategy": *"arena"' bench_artifacts/BENCH_eval.json; then
-    echo "FAIL: no arena strategy cells in BENCH_eval.json"
+  if ! grep -q '"strategy": *"read-only"' bench_artifacts/BENCH_eval.json; then
+    echo "FAIL: no read-only strategy cells in BENCH_eval.json"
     status=1
   fi
-  if ! grep -q '"arena_pointer_identical": *true' bench_artifacts/BENCH_eval.json; then
-    echo "FAIL: arena_pointer_identical attestation missing or false in BENCH_eval.json"
-    status=1
-  fi
+  for attestation in readonly_deepcopy_identical arena_pointer_identical; do
+    if ! grep -q "\"${attestation}\": *true" bench_artifacts/BENCH_eval.json; then
+      echo "FAIL: ${attestation} attestation missing or false in BENCH_eval.json"
+      status=1
+    fi
+  done
 fi
 
 # The unlearn bench must have exercised the lazy-tags strategy and attested

@@ -54,7 +54,7 @@ void UnlearnRemovalMethod::BeginParallel(int num_workers) {
   for (auto& slot : workers_) {
     if (slot == nullptr) slot = std::make_unique<Worker>();
   }
-  if (options_.cow_delta) BaseCache();  // seed before threads fan out
+  if (options_.read_only) BaseCache();  // seed before threads fan out
   in_parallel_ = true;
 }
 
@@ -98,47 +98,36 @@ Result<ModelEval> UnlearnRemovalMethod::EvaluateOnSlot(
       obs::GetCounter("removal.unlearn.cow_evaluations");
   static obs::Counter* cow_rows_rescored =
       obs::GetCounter("removal.unlearn.cow_rows_rescored");
-  static obs::Counter* cow_trees_changed =
-      obs::GetCounter("removal.unlearn.cow_trees_changed");
-  static obs::Counter* arena_rescores =
-      obs::GetCounter("removal.unlearn.arena_rescores");
   evals->Inc();
   rows_hist->Record(static_cast<int64_t>(rows.size()));
   obs::TraceSpan span("removal.unlearn.evaluate",
                       {{"rows", static_cast<int64_t>(rows.size())}});
   Worker& w = WorkerSlot(worker);
-  DareForest what_if =
-      options_.cow_delta ? model_->Clone() : model_->DeepClone();
-  // A what-if delete is scored immediately, so deferring its retrains would
-  // only add tag bookkeeping on top of the same rebuild work — run the
-  // clone eagerly even when the base model streams with lazy_unlearn.
-  if (what_if.config().lazy_unlearn) what_if.SetLazyUnlearn(false);
-  FUME_RETURN_NOT_OK(
-      what_if.DeleteRows(rows, /*per_tree=*/nullptr, &w.unlearn_scratch));
-  w.stats.Add(what_if.deletion_stats());
 
   ModelEval eval;
   const std::vector<int>* preds = nullptr;
   std::vector<int> full_preds;
-  if (options_.cow_delta) {
+  if (options_.read_only) {
     cow_evals->Inc();
-    // Rescore only test rows whose cached descent crosses a region the
-    // deletion actually mutated (CoW sharing identifies those regions by
-    // node identity) — or, for batches big enough to have unshared most
-    // paths, stream the whole test set through the changed trees' flat
-    // arenas. Results are byte-identical to PredictAll either way.
-    const bool arena_rescore =
-        options_.arena && rows.size() >= kArenaFullRescoreMinBatch;
-    if (arena_rescore) arena_rescores->Inc();
-    BaseCache().ScoreWhatIf(*model_, what_if, *test_, &w.scratch,
-                            arena_rescore);
+    // Read-only: the base forest is scored as if the rows were unlearned,
+    // re-taking split decisions on scratch stats and rescoring only test
+    // rows under a changed leaf or flipped split.
+    FUME_RETURN_NOT_OK(
+        BaseCache().ScoreWithout(*model_, rows, *test_, &w.scratch));
+    w.stats.Add(w.scratch.stats);
     cow_rows_rescored->Inc(w.scratch.rows_rescored);
-    cow_trees_changed->Inc(w.scratch.trees_changed);
     preds = &w.scratch.preds;
   } else {
     // The deep-copy leg is the seed reference path: keep it on the
     // pointer walk so strategy-identity checks diff two independent
     // traversal implementations.
+    DareForest what_if = model_->DeepClone();
+    // A what-if delete is scored immediately, so deferring its retrains
+    // would only add tag bookkeeping on top of the same rebuild work.
+    if (what_if.config().lazy_unlearn) what_if.SetLazyUnlearn(false);
+    FUME_RETURN_NOT_OK(
+        what_if.DeleteRows(rows, /*per_tree=*/nullptr, &w.unlearn_scratch));
+    w.stats.Add(what_if.deletion_stats());
     full_preds = what_if.PredictAllPointer(*test_);
     preds = &full_preds;
   }

@@ -65,36 +65,29 @@ class RemovalMethod {
   virtual const char* name() const = 0;
 };
 
-/// \brief Machine unlearning removal: clones the trained DaRE forest and
-/// exactly deletes the rows — no retraining pass over the data.
+/// \brief Machine unlearning removal: scores the trained DaRE forest as if
+/// the rows had been unlearned — no retraining pass over the data.
 ///
-/// By default the clone is copy-on-write and the test set is rescored
-/// delta-aware: only nodes on mutated paths are copied, and only test rows
-/// whose descent crosses a mutated region are re-walked (the base model's
-/// per-tree predictions are cached once, lazily, at the first evaluation).
-/// Results are byte-identical to the deep-copy + full-PredictAll reference
-/// path, which Options::cow_delta = false restores for tests and benches.
+/// By default an evaluation is read-only (TestPredictionCache::
+/// ScoreWithout): the forest is never cloned or mutated, split decisions
+/// are re-taken on scratch stats, and only test rows reaching a changed
+/// leaf or a flipped split are rescored (the base model's per-tree
+/// predictions are cached once, lazily, at the first evaluation). Results
+/// are byte-identical to the deep-copy + full-PredictAll reference path,
+/// which Options::read_only = false restores for tests and benches.
 class UnlearnRemovalMethod : public RemovalMethod {
  public:
   struct Options {
-    /// Use CoW clones + delta-aware rescoring (false = deep copy + full
-    /// prediction pass, the pre-optimization reference behaviour).
-    bool cow_delta = true;
-    /// With cow_delta: rescore the trees a deletion batch of at least
-    /// kArenaFullRescoreMinBatch rows changed through their compiled flat
-    /// arenas (one full streaming pass per changed tree) instead of the
-    /// pointer diff-walk — big batches unshare most paths, so the
-    /// diff-walk re-walks nearly every row through pointers anyway.
-    /// Smaller batches keep the diff-walk. Byte-identical results; false
-    /// pins the diff-walk for every batch size (the cow-delta reference
-    /// strategy in bench_eval_throughput).
-    bool arena = true;
+    /// Score read-only from the base forest (false = deep copy + DeleteRows
+    /// + full prediction pass, the pre-optimization reference behaviour).
+    bool read_only = true;
   };
 
-  /// Deletion-batch size at which Options::arena switches the what-if
-  /// rescore from the pointer diff-walk to full arena passes. Sized off
-  /// bench_eval_throughput: at 4 doomed rows the diff-walk still rescores
-  /// a small fraction of the test set; by 64 it touches most of it.
+  /// The deletion-batch size from which the retired clone path rescored
+  /// changed trees through full arena passes. No production path reads it
+  /// any more; the end-to-end benchmark's replay of that path
+  /// (fumebench/audit_phase.cc) still does, so it stays until that replay
+  /// moves to ScoreWithout.
   static constexpr size_t kArenaFullRescoreMinBatch = 16;
 
   /// Pointers must outlive this object. The model must not be mutated
@@ -120,13 +113,11 @@ class UnlearnRemovalMethod : public RemovalMethod {
 
  private:
   /// Per-worker state: contention-free deletion-stat accumulation plus
-  /// reusable rescoring and unlearning-kernel scratch. unique_ptr keeps
-  /// slots cache-isolated.
+  /// reusable scoring scratch. unique_ptr keeps slots cache-isolated.
   struct Worker {
     DeletionStats stats;
-    TestPredictionCache::WhatIfScratch scratch;
-    /// Reused by every what-if DeleteRows this worker performs, so
-    /// steady-state evaluations run the deletion kernel allocation-free.
+    TestPredictionCache::ScoreScratch scratch;
+    /// The deep-copy reference path's deletion-kernel scratch.
     DeletionScratch unlearn_scratch;
   };
 

@@ -1,11 +1,12 @@
-// RemovalMethod over a SISA-style ShardedForest: a leave-out evaluation
-// clones the ensemble copy-on-write, exactly unlearns each row from its
-// owning shard, and rescores through the per-shard prediction cache —
-// shards untouched by the row set contribute their cached vote for free.
-// FUME, the stream engine and fume_serve plug it in wherever they would
-// use UnlearnRemovalMethod; the top-k it produces differs from the
-// monolithic forest's only through the ensemble's vote (the fidelity
-// trade-off measured by bench_shard), never through scheduling.
+// RemovalMethod over a SISA-style ShardedForest: a leave-out evaluation is
+// read-only — each shard owning rows of the set scores "shard minus its
+// slice" through its cached predictions (ShardedPredictionCache::
+// ScoreWithout), and shards untouched by the row set contribute their
+// cached vote for free. FUME, the stream engine and fume_serve plug it in
+// wherever they would use UnlearnRemovalMethod; the top-k it produces
+// differs from the monolithic forest's only through the ensemble's vote
+// (the fidelity trade-off measured by bench_shard), never through
+// scheduling.
 
 #ifndef FUME_CORE_SHARDED_REMOVAL_H_
 #define FUME_CORE_SHARDED_REMOVAL_H_
@@ -21,28 +22,18 @@ namespace fume {
 
 class ShardedRemovalMethod : public RemovalMethod {
  public:
-  struct Options {
-    /// See UnlearnRemovalMethod::Options::arena — same batch-size cutover
-    /// (kArenaFullRescoreMinBatch), applied per changed shard.
-    bool arena = true;
-  };
-
   /// Pointers must outlive this object; the model must not be mutated
   /// while evaluations run. The base prediction cache is built lazily at
   /// the first evaluation.
   ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric);
-  ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
-                       GroupSpec group, FairnessMetric metric,
-                       Options options);
 
-  /// As above, but rescoring through `base_cache` (e.g. the stream
-  /// engine's warm per-shard cache) instead of building one internally.
+  /// As above, but scoring through `base_cache` (e.g. the stream engine's
+  /// warm per-shard cache) instead of building one internally.
   /// `base_cache` must have been rebuilt/updated against `model` and must
   /// stay valid and unmutated for this object's lifetime.
   ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric,
-                       Options options,
                        const ShardedPredictionCache* base_cache);
 
   Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override;
@@ -59,9 +50,7 @@ class ShardedRemovalMethod : public RemovalMethod {
  private:
   struct Worker {
     DeletionStats stats;
-    ShardedPredictionCache::WhatIfScratch scratch;
-    /// Shard-affine deletion scratches (entry s always serves shard s).
-    std::vector<DeletionScratch> unlearn_scratch;
+    ShardedPredictionCache::ScoreScratch scratch;
   };
 
   Worker& WorkerSlot(int worker);
@@ -72,7 +61,6 @@ class ShardedRemovalMethod : public RemovalMethod {
   const Dataset* test_;
   GroupSpec group_;
   FairnessMetric metric_;
-  Options options_;
   const ShardedPredictionCache* external_cache_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool in_parallel_ = false;

@@ -22,10 +22,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "forest/training_store.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace fume {
 
@@ -58,6 +60,24 @@ class DeletionScratch {
     if (epoch_of_[static_cast<size_t>(row)] == epoch_) return false;
     epoch_of_[static_cast<size_t>(row)] = epoch_;
     return true;
+  }
+
+  /// Marks every row of a batch doomed (after BeginBatch), answering the
+  /// first row that is out of range or repeated with the Status
+  /// DareForest::DeleteRows returns for it.
+  Status MarkDoomedBatch(const std::vector<RowId>& rows,
+                         int64_t num_store_rows) {
+    for (const RowId r : rows) {
+      if (r < 0 || r >= num_store_rows) {
+        return Status::IndexError("row id " + std::to_string(r) +
+                                  " out of range");
+      }
+      if (!MarkDoomed(r)) {
+        return Status::Invalid("duplicate row id " + std::to_string(r) +
+                               " in deletion batch");
+      }
+    }
+    return Status::OK();
   }
 
   bool IsDoomed(RowId row) const {

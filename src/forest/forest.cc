@@ -146,16 +146,7 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
     // marking pass every tree then shares — no per-batch unordered_set.
     if (scratch == nullptr) scratch = &local_scratch;
     if (scratch->BeginBatch(store_->num_rows())) scratch_reuse->Inc();
-    for (RowId r : rows) {
-      if (r < 0 || r >= store_->num_rows()) {
-        return Status::IndexError("row id " + std::to_string(r) +
-                                  " out of range");
-      }
-      if (!scratch->MarkDoomed(r)) {
-        return Status::Invalid("duplicate row id " + std::to_string(r) +
-                               " in deletion batch");
-      }
-    }
+    FUME_RETURN_NOT_OK(scratch->MarkDoomedBatch(rows, store_->num_rows()));
   } else {
     std::unordered_set<RowId> seen;
     for (RowId r : rows) {

@@ -1,5 +1,7 @@
 #include "forest/prediction_cache.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -79,6 +81,14 @@ void TestPredictionCache::ResumeTree(const Dataset& test, int t) {
 }
 
 void TestPredictionCache::Finalize(const DareForest& forest) {
+  // Every Rebuild/Update ends here: the tree structure the what-if index
+  // describes may have changed, so drop it and remember which forest
+  // state this cache now reflects.
+  index_.Reset();
+  generation_.resize(static_cast<size_t>(forest.num_trees()));
+  for (int t = 0; t < forest.num_trees(); ++t) {
+    generation_[static_cast<size_t>(t)] = forest.tree(t).generation();
+  }
   const size_t n_rows = pred_.size();
   const double num_trees = static_cast<double>(forest.num_trees());
   for (size_t r = 0; r < n_rows; ++r) {
@@ -253,7 +263,6 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   // byte-identical to what_if.PredictAll(test). A full arena rescore
   // invalidates every row's sum, not just the diff-walk's touched list.
   s->preds = pred_;
-  if (s->want_probs) s->probs = mean_prob_;
   const double tree_count = static_cast<double>(num_trees);
   auto resum = [&](int64_t r) {
     double sum = 0.0;
@@ -262,9 +271,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
                  ? s->tree_prob[t][static_cast<size_t>(r)]
                  : prob_[t][static_cast<size_t>(r)];
     }
-    const double mean = sum / tree_count;
-    if (s->want_probs) s->probs[static_cast<size_t>(r)] = mean;
-    s->preds[static_cast<size_t>(r)] = mean >= 0.5 ? 1 : 0;
+    s->preds[static_cast<size_t>(r)] = sum / tree_count >= 0.5 ? 1 : 0;
   };
   if (rescored_all) {
     for (size_t r = 0; r < n_rows; ++r) resum(static_cast<int64_t>(r));
@@ -276,6 +283,190 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
 #ifdef FUME_ARENA_VERIFY
   FUME_CHECK(s->preds == what_if.PredictAllPointer(test));
 #endif
+}
+
+TestPredictionCache::IndexSlot& TestPredictionCache::IndexSlot::operator=(
+    const IndexSlot& other) {
+  if (this == &other) return *this;
+  std::shared_ptr<const WhatIfIndex> index = other.Get();
+  std::lock_guard<std::mutex> lock(mu_);
+  index_ = std::move(index);
+  return *this;
+}
+
+std::shared_ptr<const TestPredictionCache::WhatIfIndex>
+TestPredictionCache::IndexSlot::Get() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_;
+}
+
+void TestPredictionCache::IndexSlot::Reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  index_.reset();
+}
+
+namespace {
+
+/// Reorders [begin, end) — the test rows reaching `node` — into the DFS
+/// order of the leaves they reach, the same descent as WalkTreePointer.
+void OrderByLeaf(const TreeNode* node, const PackedCodes& codes,
+                 int32_t* begin, int32_t* end) {
+  while (begin != end && !node->is_leaf()) {
+    int32_t* mid = std::partition(begin, end, [&](int32_t r) {
+      return codes.row(r)[node->attr] <= node->threshold;
+    });
+    OrderByLeaf(node->left.get(), codes, begin, mid);
+    node = node->right.get();
+    begin = mid;
+  }
+}
+
+/// Writes ScoreWithout's per-tree leaf probabilities into the row-major
+/// what-if matrix, seeding a row from the base probabilities the first
+/// time any tree touches it.
+class RowProbSink final : public WhatIfSink {
+ public:
+  RowProbSink(size_t tree, size_t num_trees, const double* base_probs,
+              double* row_probs, uint32_t* row_epoch, uint32_t epoch,
+              std::vector<int32_t>* touched)
+      : tree_(tree),
+        num_trees_(num_trees),
+        base_probs_(base_probs),
+        row_probs_(row_probs),
+        row_epoch_(row_epoch),
+        epoch_(epoch),
+        touched_(touched) {}
+
+  void Emit(const int32_t* rows, int64_t n, double prob) override {
+    for (int64_t i = 0; i < n; ++i) {
+      const auto r = static_cast<size_t>(rows[i]);
+      double* row = row_probs_ + r * num_trees_;
+      if (row_epoch_[r] != epoch_) {
+        row_epoch_[r] = epoch_;
+        touched_->push_back(rows[i]);
+        std::copy(base_probs_ + r * num_trees_,
+                  base_probs_ + (r + 1) * num_trees_, row);
+      }
+      row[tree_] = prob;
+    }
+  }
+
+ private:
+  const size_t tree_;
+  const size_t num_trees_;
+  const double* const base_probs_;
+  double* const row_probs_;
+  uint32_t* const row_epoch_;
+  const uint32_t epoch_;
+  std::vector<int32_t>* const touched_;
+};
+
+}  // namespace
+
+std::shared_ptr<const TestPredictionCache::WhatIfIndex>
+TestPredictionCache::BuildIndex(const DareForest& base,
+                                const Dataset& test) const {
+  obs::TraceSpan span("forest.score_without.index",
+                      {{"trees", base.num_trees()},
+                       {"rows", test.num_rows()}});
+  auto index = std::make_shared<WhatIfIndex>();
+  index->codes = test.packed_codes();
+  const size_t num_trees = leaf_.size();
+  const size_t n_rows = mean_prob_.size();
+  index->order.resize(num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    std::vector<int32_t>& order = index->order[t];
+    order.resize(n_rows);
+    for (size_t r = 0; r < n_rows; ++r) order[r] = static_cast<int32_t>(r);
+    const TreeNode* root = base.tree(static_cast<int>(t)).root();
+    if (root != nullptr && root->count != 0) {
+      OrderByLeaf(root, *index->codes, order.data(),
+                  order.data() + order.size());
+    }
+  }
+  index->base_probs.resize(n_rows * num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    for (size_t r = 0; r < n_rows; ++r) {
+      index->base_probs[r * num_trees + t] = prob_[t][r];
+    }
+  }
+  return index;
+}
+
+Status TestPredictionCache::ScoreWithout(const DareForest& base,
+                                         const std::vector<RowId>& rows,
+                                         const Dataset& test,
+                                         ScoreScratch* s) const {
+  const size_t num_trees = leaf_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    FUME_CHECK_EQ(base.tree(static_cast<int>(t)).generation(),
+                  generation_[t]);
+  }
+  const size_t n_rows = mean_prob_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
+  s->stats = DeletionStats{};
+  s->rows_rescored = 0;
+  s->preds = pred_;
+  if (s->want_probs) s->probs = mean_prob_;
+  if (rows.empty()) return Status::OK();
+
+  obs::TraceSpan span("forest.score_without",
+                      {{"rows", static_cast<int64_t>(rows.size())},
+                       {"trees", static_cast<int64_t>(num_trees)}});
+  // The counters DareForest::DeleteRows keeps, so a what-if's unlearning
+  // work reads the same whichever path scored it.
+  static obs::Counter* batches = obs::GetCounter("forest.unlearn.batches");
+  static obs::Counter* deleted_rows =
+      obs::GetCounter("forest.unlearn.rows_deleted");
+  static obs::Histogram* batch_rows =
+      obs::GetHistogram("forest.unlearn.batch_rows");
+  static obs::Counter* scratch_reuse =
+      obs::GetCounter("forest.unlearn.scratch_reuse");
+  batches->Inc();
+  deleted_rows->Inc(static_cast<int64_t>(rows.size()));
+  batch_rows->Record(static_cast<int64_t>(rows.size()));
+  if (s->tree.deletion.BeginBatch(base.store().num_rows())) {
+    scratch_reuse->Inc();
+  }
+  FUME_RETURN_NOT_OK(s->tree.LoadDoomed(base.store(), rows));
+
+  const std::shared_ptr<const WhatIfIndex> index =
+      index_.GetOrBuild([&] { return BuildIndex(base, test); });
+  if (++s->epoch == 0) {  // wrapped: clear the stamps for real
+    s->row_epoch.assign(s->row_epoch.size(), 0);
+    s->epoch = 1;
+  }
+  s->row_epoch.resize(n_rows, 0);
+  s->row_probs.resize(n_rows * num_trees);
+  s->touched.clear();
+  WhatIfTestRows view;
+  view.codes = index->codes->codes.data();
+  view.num_attrs = index->codes->num_attrs;
+  view.num_rows = static_cast<int64_t>(n_rows);
+  for (size_t t = 0; t < num_trees; ++t) {
+    view.order = index->order[t].data();
+    RowProbSink sink(t, num_trees, index->base_probs.data(),
+                     s->row_probs.data(), s->row_epoch.data(), s->epoch,
+                     &s->touched);
+    base.tree(static_cast<int>(t))
+        .ScoreWithout(rows, view, &sink, &s->tree, &s->stats);
+  }
+
+  // Re-sum each touched row over every tree in tree order — Finalize's
+  // arithmetic, so the result is byte-identical to PredictAll.
+  const double tree_count = static_cast<double>(num_trees);
+  for (const int32_t r : s->touched) {
+    const double* row = s->row_probs.data() + static_cast<size_t>(r) *
+                                                  num_trees;
+    double sum = 0.0;
+    for (size_t t = 0; t < num_trees; ++t) sum += row[t];
+    const double mean = sum / tree_count;
+    if (s->want_probs) s->probs[static_cast<size_t>(r)] = mean;
+    s->preds[static_cast<size_t>(r)] = mean >= 0.5 ? 1 : 0;
+  }
+  s->rows_rescored = static_cast<int64_t>(s->touched.size());
+  return Status::OK();
 }
 
 }  // namespace fume

@@ -12,11 +12,13 @@
 // grows leaves), and a short walk into the grown subtree when an insert
 // rebuilt the leaf into a split in place (same address, fresh children).
 //
-// ScoreWhatIf() serves a second consumer: FUME's what-if evaluations. A
-// copy-on-write clone of the base forest shares every node it did not
-// mutate, so diffing base vs. clone by node identity finds the changed
-// regions without visiting them, and only test rows routed into a changed
-// region are re-scored (see docs/performance.md).
+// ScoreWithout() serves a second consumer: FUME's what-if evaluations. It
+// scores "base forest minus a row set" straight from the base forest —
+// no clone, no node copy, no arena — by walking each tree with the doomed
+// rows on scratch stats and re-scoring only the test rows that reach a
+// changed leaf or a flipped split (docs/performance.md "Read-only
+// what-if"). ScoreWhatIf() is the retired clone-diffing path, kept for the
+// end-to-end benchmark's replay.
 //
 // Exactness: probabilities and hard predictions are byte-identical to
 // DareForest::PredictProbAll / PredictAll — per-row tree probabilities are
@@ -26,6 +28,8 @@
 #define FUME_FOREST_PREDICTION_CACHE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/dataset.h"
@@ -35,22 +39,48 @@ namespace fume {
 
 class TestPredictionCache {
  public:
-  /// Reusable working memory for ScoreWhatIf. One instance per worker
-  /// thread; after the first evaluation no allocations occur in steady
-  /// state (epoch counters take the place of clearing).
+  /// Reusable working memory for ScoreWithout. One instance per worker
+  /// thread; warm after the first call (epoch stamps replace clearing).
+  struct ScoreScratch {
+    /// Hard predictions of "base minus rows", byte-identical to
+    /// Clone()+DeleteRows(rows)+PredictAll(test). Valid after ScoreWithout
+    /// returns OK, until the next call on this scratch.
+    std::vector<int> preds;
+    /// Opt-in: when true, `probs` is filled too, with the mean
+    /// probabilities (byte-identical to PredictProbAll, by the same
+    /// sum-then-divide that produces preds). Off by default — the extra
+    /// vector only pays for itself when a consumer needs the
+    /// probabilities, e.g. the sharded cache voting across shards.
+    bool want_probs = false;
+    std::vector<double> probs;
+    /// Test rows whose probability was recomputed in at least one tree.
+    int64_t rows_rescored = 0;
+    /// The work DeleteRows(rows) would have done, summed over trees: equal
+    /// to the clone's DeletionStats field for field, except nodes_copied,
+    /// which is always 0.
+    DeletionStats stats;
+
+   private:
+    friend class TestPredictionCache;
+    TreeScoreScratch tree;
+    /// row_probs[r * num_trees + t] for rows touched this call (stamped in
+    /// row_epoch), seeded from the base probabilities on first touch.
+    std::vector<double> row_probs;
+    std::vector<uint32_t> row_epoch;
+    std::vector<int32_t> touched;
+    uint32_t epoch = 0;
+  };
+
+  /// Reusable working memory for ScoreWhatIf. Retired with it: kept only
+  /// because the end-to-end benchmark's traced replay
+  /// (fumebench/audit_phase.cc) still drives ScoreWhatIf. One instance per
+  /// worker thread; after the first evaluation no allocations occur in
+  /// steady state (epoch counters take the place of clearing).
   struct WhatIfScratch {
     /// Hard predictions for the what-if forest, byte-identical to
     /// what_if.PredictAll(test). Valid after ScoreWhatIf returns, until
     /// the next call on this scratch.
     std::vector<int> preds;
-    /// Opt-in: when true, ScoreWhatIf also fills `probs` with the what-if
-    /// mean probability per row, byte-identical to
-    /// what_if.PredictProbAll(test) (same sum-then-divide arithmetic that
-    /// produces preds). Off by default — the extra row-major vector only
-    /// pays for itself when a consumer needs the probabilities, e.g. the
-    /// sharded cache voting across shards.
-    bool want_probs = false;
-    std::vector<double> probs;
     /// Test rows whose prediction path crossed a mutated region (their
     /// hard prediction did not necessarily flip).
     int64_t rows_rescored = 0;
@@ -78,13 +108,28 @@ class TestPredictionCache {
   void Update(const DareForest& forest, const Dataset& test,
               const std::vector<bool>& tree_dirty);
 
-  /// Scores a copy-on-write clone of the forest this cache was seeded
-  /// from, re-walking only test rows whose cached descent crosses a
-  /// mutated region. `base` must be that seed forest (alive, unmutated
-  /// since Rebuild/Update); `what_if` a Clone() of it, arbitrarily
-  /// mutated. Fills scratch->preds with predictions byte-identical to
-  /// what_if.PredictAll(test). Thread-safe for concurrent calls on one
-  /// cache with distinct scratches.
+  /// Scores "`base` minus `rows`" without mutating or copying `base`:
+  /// fills scratch->preds (and probs when asked) byte-identical to
+  /// Clone()+DeleteRows(rows)+PredictAll(test), and scratch->stats with
+  /// that DeleteRows' work. `base` must be the forest this cache was last
+  /// rebuilt or updated against (flushed, unmutated since — the contract
+  /// Rebuild already has; the tree generation stamps are checked), `test`
+  /// the same test set. Out-of-range or duplicate rows return the Status
+  /// DeleteRows would. The first call builds the what-if index (each
+  /// tree's test rows in base-leaf DFS order); Rebuild and Update never
+  /// do. Thread-safe for concurrent calls with distinct scratches.
+  Status ScoreWithout(const DareForest& base, const std::vector<RowId>& rows,
+                      const Dataset& test, ScoreScratch* scratch) const;
+
+  /// Retired what-if path, kept because the end-to-end benchmark's traced
+  /// replay times it (fumebench/audit_phase.cc); production callers use
+  /// ScoreWithout. Scores a copy-on-write clone of the forest this cache
+  /// was seeded from, re-walking only test rows whose cached descent
+  /// crosses a mutated region. `base` must be that seed forest (alive,
+  /// unmutated since Rebuild/Update); `what_if` a Clone() of it,
+  /// arbitrarily mutated. Fills scratch->preds with predictions
+  /// byte-identical to what_if.PredictAll(test). Thread-safe for
+  /// concurrent calls on one cache with distinct scratches.
   ///
   /// `arena_full_rescore` trades the pointer diff-walk for a full pass of
   /// every test row through each changed tree's flat arena — the right
@@ -115,6 +160,45 @@ class TestPredictionCache {
   void DiffWalk(const TreeNode* base, const TreeNode* changed,
                 const Dataset& test, int t, size_t begin, size_t end,
                 WhatIfScratch* scratch) const;
+
+  /// ScoreWithout's index, built from the base forest on first use.
+  struct WhatIfIndex {
+    /// order[t]: test rows in the DFS order of the base leaf they reach in
+    /// tree t, so each base node owns one contiguous range.
+    std::vector<std::vector<int32_t>> order;
+    /// base_probs[r * num_trees + t] == prob_[t][r] (row-major seed for
+    /// ScoreScratch::row_probs).
+    std::vector<double> base_probs;
+    std::shared_ptr<const PackedCodes> codes;
+  };
+  /// Holder for the lazily built index. Copies share the built index (it
+  /// is immutable and the copy's cache state is the same); Rebuild/Update
+  /// drop it.
+  class IndexSlot {
+   public:
+    IndexSlot() = default;
+    IndexSlot(const IndexSlot& other) : index_(other.Get()) {}
+    IndexSlot& operator=(const IndexSlot& other);
+    std::shared_ptr<const WhatIfIndex> Get() const;
+    /// Returns the index, building it with `build` if absent.
+    template <typename Build>
+    std::shared_ptr<const WhatIfIndex> GetOrBuild(Build&& build) const {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (index_ == nullptr) index_ = build();
+      return index_;
+    }
+    void Reset();
+
+   private:
+    mutable std::mutex mu_;
+    mutable std::shared_ptr<const WhatIfIndex> index_;
+  };
+  std::shared_ptr<const WhatIfIndex> BuildIndex(const DareForest& base,
+                                                const Dataset& test) const;
+  /// Tree generation stamps at the last Rebuild/Update: ScoreWithout's
+  /// check that it is handed the forest this cache describes.
+  std::vector<uint64_t> generation_;
+  IndexSlot index_;
 
   // leaf_[t][r]: the leaf of tree t that test row r reaches (nullptr when
   // the tree has no root). prob_[t][r]: that leaf's positive fraction.

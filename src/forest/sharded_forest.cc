@@ -690,44 +690,46 @@ void ShardedPredictionCache::FinalizeVote() {
   VoteFromShardProbs(ptrs, vote_, &mean_prob_, &pred_);
 }
 
-void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
-                                         const ShardedForest& what_if,
-                                         const Dataset& test,
-                                         WhatIfScratch* scratch,
-                                         bool arena_full_rescore) const {
+Status ShardedPredictionCache::ScoreWithout(
+    const ShardedForest& base, const std::vector<RowId>& global_rows,
+    const Dataset& test, ScoreScratch* scratch) const {
   const size_t n = caches_.size();
   FUME_CHECK_EQ(n, static_cast<size_t>(base.num_shards()));
-  FUME_CHECK_EQ(n, static_cast<size_t>(what_if.num_shards()));
-  scratch->shard_scratch.resize(n);
   scratch->rows_rescored = 0;
-  scratch->trees_changed = 0;
+  scratch->stats = DeletionStats{};
   scratch->shards_changed = 0;
+  const int64_t limit = base.num_global_ids();
+  for (RowId g : global_rows) {
+    if (g < 0 || static_cast<int64_t>(g) >= limit) {
+      return Status::IndexError("global row id " + std::to_string(g) +
+                                " out of range");
+    }
+  }
+  scratch->shard_scratch.resize(n);
+  scratch->local.resize(n);
+  for (std::vector<RowId>& rows : scratch->local) rows.clear();
+  for (RowId g : global_rows) {
+    scratch->local[static_cast<size_t>(base.shard_of(g))].push_back(
+        base.local_of(g));
+  }
   std::vector<const std::vector<double>*> ptrs(n);
   for (size_t s = 0; s < n; ++s) {
-    const DareForest& b = base.shard(static_cast<int>(s));
-    const DareForest& w = what_if.shard(static_cast<int>(s));
-    bool changed = false;
-    for (int t = 0; t < b.num_trees(); ++t) {
-      if (b.tree(t).root() != w.tree(t).root()) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) {
-      // Every tree root still shared: the clone's shard predicts exactly
-      // like the base shard, whose probabilities we already hold.
+    if (scratch->local[s].empty()) {
+      // The shard keeps every row: it predicts exactly as cached.
       ptrs[s] = &caches_[s].probs();
       continue;
     }
     ++scratch->shards_changed;
-    TestPredictionCache::WhatIfScratch& ss = scratch->shard_scratch[s];
+    TestPredictionCache::ScoreScratch& ss = scratch->shard_scratch[s];
     ss.want_probs = true;
-    caches_[s].ScoreWhatIf(b, w, test, &ss, arena_full_rescore);
+    FUME_RETURN_NOT_OK(caches_[s].ScoreWithout(base.shard(static_cast<int>(s)),
+                                               scratch->local[s], test, &ss));
     scratch->rows_rescored += ss.rows_rescored;
-    scratch->trees_changed += ss.trees_changed;
+    scratch->stats.Add(ss.stats);
     ptrs[s] = &ss.probs;
   }
-  VoteFromShardProbs(ptrs, vote_, &scratch->sum, &scratch->preds);
+  VoteFromShardProbs(ptrs, vote_, &scratch->probs, &scratch->preds);
+  return Status::OK();
 }
 
 }  // namespace fume

@@ -232,25 +232,27 @@ void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_pro
 ///
 /// Mirrors TestPredictionCache's API one level up: Rebuild after training
 /// or loading, Update after an op with the per-shard dirty report, and
-/// ScoreWhatIf against a CoW clone. A what-if evaluation typically mutates
-/// one or two shards; untouched shards (every tree root identical to the
-/// base) contribute their cached probabilities without any walk or copy.
+/// ScoreWithout for a read-only what-if. A what-if row set typically lives
+/// in one or two shards; untouched shards contribute their cached
+/// probabilities without any walk or copy.
 class ShardedPredictionCache {
  public:
-  struct WhatIfScratch {
-    /// Voted ensemble predictions for the what-if forest, byte-identical
-    /// to what_if.PredictAll(test).
+  struct ScoreScratch {
+    /// Voted ensemble predictions and probabilities of "base minus rows",
+    /// byte-identical to Clone()+DeleteRows(rows)+PredictAll(test) and
+    /// PredictProbAll(test).
     std::vector<int> preds;
-    /// Summed across shards (see TestPredictionCache::WhatIfScratch).
+    std::vector<double> probs;
+    /// Summed across shards (see TestPredictionCache::ScoreScratch).
     int64_t rows_rescored = 0;
-    int64_t trees_changed = 0;
-    /// Shards with at least one changed tree root this evaluation.
+    DeletionStats stats;
+    /// Shards owning at least one row of the set.
     int64_t shards_changed = 0;
 
    private:
     friend class ShardedPredictionCache;
-    std::vector<TestPredictionCache::WhatIfScratch> shard_scratch;
-    std::vector<double> sum;
+    std::vector<TestPredictionCache::ScoreScratch> shard_scratch;
+    std::vector<std::vector<RowId>> local;  // local[s]: shard s's rows
   };
 
   void Rebuild(const ShardedForest& forest, const Dataset& test);
@@ -261,12 +263,17 @@ class ShardedPredictionCache {
   void Update(const ShardedForest& forest, const Dataset& test,
               const std::vector<std::vector<bool>>& shard_tree_dirty);
 
-  /// Scores a Clone() of the seed ensemble (see TestPredictionCache::
-  /// ScoreWhatIf). Thread-safe for concurrent calls with distinct
+  /// Scores "`base` minus `global_rows`" without copying or mutating
+  /// `base`: each shard owning rows of the set runs
+  /// TestPredictionCache::ScoreWithout on its slice (batch order kept),
+  /// and the shards vote. `base` must be the ensemble this cache was last
+  /// rebuilt or updated against. Bad row sets return the Status
+  /// ShardedForest::DeleteRows would (range first, then the first failing
+  /// shard in shard order). Thread-safe for concurrent calls with distinct
   /// scratches.
-  void ScoreWhatIf(const ShardedForest& base, const ShardedForest& what_if,
-                   const Dataset& test, WhatIfScratch* scratch,
-                   bool arena_full_rescore = false) const;
+  Status ScoreWithout(const ShardedForest& base,
+                      const std::vector<RowId>& global_rows,
+                      const Dataset& test, ScoreScratch* scratch) const;
 
   /// Voted ensemble probability / predictions per test row;
   /// byte-identical to forest.PredictProbAll / PredictAll.

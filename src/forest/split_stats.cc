@@ -31,11 +31,10 @@ void NodeStats::ComputeFromRows(const TrainingStore& store,
                   std::move(cand_attrs_sorted));
 }
 
-void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
-                                int64_t n,
-                                std::vector<int> cand_attrs_sorted) {
+void NodeStats::Reset(const TrainingStore& store,
+                      std::vector<int> cand_attrs_sorted) {
   cand_attrs = std::move(cand_attrs_sorted);
-  count = n;
+  count = 0;
   pos = 0;
   const size_t num_attrs = cand_attrs.size();
   hist_offsets.resize(num_attrs + 1);
@@ -46,6 +45,14 @@ void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
   }
   hist_offsets[num_attrs] = total;
   hist.assign(2 * static_cast<size_t>(total), 0);
+}
+
+void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
+                                int64_t n,
+                                std::vector<int> cand_attrs_sorted) {
+  Reset(store, std::move(cand_attrs_sorted));
+  count = n;
+  const size_t num_attrs = cand_attrs.size();
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
   for (int64_t k = 0; k < n; ++k) {
@@ -62,33 +69,29 @@ void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
   }
 }
 
-void NodeStats::RemoveRow(const TrainingStore& store, RowId row) {
-  const int y = store.label(row);
+void NodeStats::RemoveCodes(const int32_t* codes, int label) {
   --count;
-  pos -= y;
+  pos -= label;
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
   for (size_t i = 0; i < cand_attrs.size(); ++i) {
-    const int32_t v = store.code(row, cand_attrs[i]);
-    int64_t* const bin =
-        h + 2 * (static_cast<size_t>(off[i]) + static_cast<size_t>(v));
+    int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) +
+                                  static_cast<size_t>(codes[cand_attrs[i]]));
     --bin[0];
-    bin[1] -= y;
+    bin[1] -= label;
   }
 }
 
-void NodeStats::AddRow(const TrainingStore& store, RowId row) {
-  const int y = store.label(row);
+void NodeStats::AddCodes(const int32_t* codes, int label) {
   ++count;
-  pos += y;
+  pos += label;
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
   for (size_t i = 0; i < cand_attrs.size(); ++i) {
-    const int32_t v = store.code(row, cand_attrs[i]);
-    int64_t* const bin =
-        h + 2 * (static_cast<size_t>(off[i]) + static_cast<size_t>(v));
+    int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) +
+                                  static_cast<size_t>(codes[cand_attrs[i]]));
     ++bin[0];
-    bin[1] += y;
+    bin[1] += label;
   }
 }
 
@@ -173,35 +176,41 @@ bool NodeStats::Equals(const NodeStats& other) const {
 
 std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
                                       int depth, const ForestConfig& config) {
+  std::vector<int> attrs;
+  ChooseCandidateAttrs(path_key, num_attrs, depth, config, &attrs);
+  return attrs;
+}
+
+void ChooseCandidateAttrs(uint64_t path_key, int num_attrs, int depth,
+                          const ForestConfig& config, std::vector<int>* out) {
   int want = config.num_candidate_attrs;
   if (want <= 0) {
     want = static_cast<int>(
         std::ceil(std::sqrt(static_cast<double>(num_attrs))));
   }
   want = std::min(want, num_attrs);
-  std::vector<int> attrs;
+  std::vector<int>& attrs = *out;
+  attrs.clear();
   attrs.reserve(static_cast<size_t>(want) + 1);
-  std::vector<uint8_t> taken(static_cast<size_t>(num_attrs), 0);
+  const auto taken = [&](int a) {
+    return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+  };
   // Keyed draws until `want` distinct attributes are collected. The sequence
   // depends only on path_key, never on the data.
   uint64_t i = 0;
   while (static_cast<int>(attrs.size()) < want) {
     const int a = static_cast<int>(Hash64({path_key, kTagCandAttrs, i++}) %
                                    static_cast<uint64_t>(num_attrs));
-    if (!taken[static_cast<size_t>(a)]) {
-      taken[static_cast<size_t>(a)] = 1;
-      attrs.push_back(a);
-    }
+    if (!taken(a)) attrs.push_back(a);
   }
   if (depth < config.random_depth) {
     // The random-split attribute must be tracked in the histograms so the
     // validity of the random split stays checkable during unlearning.
     const int a = static_cast<int>(Hash64({path_key, kTagRandomAttr}) %
                                    static_cast<uint64_t>(num_attrs));
-    if (!taken[static_cast<size_t>(a)]) attrs.push_back(a);
+    if (!taken(a)) attrs.push_back(a);
   }
   std::sort(attrs.begin(), attrs.end());
-  return attrs;
 }
 
 std::vector<int32_t> CandidateThresholds(uint64_t path_key, int attr,

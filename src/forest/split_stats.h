@@ -68,6 +68,11 @@ struct NodeStats {
   /// Index of `attr` within cand_attrs, or -1.
   int CandIndex(int attr) const;
 
+  /// Empty statistics over the given candidate attributes: the histogram
+  /// shape is set and every bin zeroed, ready for AddRow. Reuses the
+  /// buffers' capacity.
+  void Reset(const TrainingStore& store, std::vector<int> cand_attrs_sorted);
+
   /// Recomputes everything from raw rows (used at build / rebuild time).
   void ComputeFromRows(const TrainingStore& store,
                        const std::vector<RowId>& rows,
@@ -79,10 +84,19 @@ struct NodeStats {
                        int64_t n, std::vector<int> cand_attrs_sorted);
 
   /// Subtracts one instance (used during unlearning).
-  void RemoveRow(const TrainingStore& store, RowId row);
+  void RemoveRow(const TrainingStore& store, RowId row) {
+    RemoveCodes(store.codes(row), store.label(row));
+  }
 
   /// Adds one instance (used during incremental addition).
-  void AddRow(const TrainingStore& store, RowId row);
+  void AddRow(const TrainingStore& store, RowId row) {
+    AddCodes(store.codes(row), store.label(row));
+  }
+
+  /// RemoveRow/AddRow for an instance given by its row-major codes (all
+  /// attributes, indexed by attribute id) and label.
+  void RemoveCodes(const int32_t* codes, int label);
+  void AddCodes(const int32_t* codes, int label);
 
   /// Subtracts a batch in one pass over the rows: each row-major store line
   /// and label is loaded exactly once while the small histograms stay
@@ -126,6 +140,9 @@ struct SplitDecision {
 /// random split attribute), sorted ascending.
 std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
                                       int depth, const ForestConfig& config);
+/// As above, into *out (its capacity is reused: no allocation when warm).
+void ChooseCandidateAttrs(uint64_t path_key, int num_attrs, int depth,
+                          const ForestConfig& config, std::vector<int>* out);
 
 /// Candidate thresholds for `attr` at this node: all inter-bin thresholds in
 /// kExact mode, or a path-keyed sample of k' in kSampled mode. Ascending.

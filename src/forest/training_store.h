@@ -50,6 +50,13 @@ class TrainingStore {
                      [off * static_cast<size_t>(num_attrs_) +
                       static_cast<size_t>(attr)];
   }
+  /// The row's codes, row-major (num_attrs() of them).
+  const int32_t* codes(RowId row) const {
+    const int seg = SegmentOf(row);
+    return code_segs_[static_cast<size_t>(seg)].get() +
+           (static_cast<size_t>(row) - SegmentStart(seg)) *
+               static_cast<size_t>(num_attrs_);
+  }
   int label(RowId row) const {
     const int seg = SegmentOf(row);
     return label_segs_[static_cast<size_t>(seg)]

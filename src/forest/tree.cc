@@ -218,8 +218,7 @@ std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
   // Histogram-free leaf conditions — must mirror DecideSplit's first three
   // checks (split_stats.cc) exactly: a node they force into a leaf never
   // reads its histograms, so skipping ComputeFromRows cannot change bytes.
-  if (n < config_.min_samples_split || pos == 0 || pos == n ||
-      depth >= config_.max_depth) {
+  if (IsLeafByCounts(n, pos, depth)) {
     node->rows.assign(begin, end);
     return node;
   }
@@ -302,8 +301,13 @@ void DareTree::BumpGeneration() {
   generation_ = arena_internal::NextGeneration();
   if (arena_slot_ == nullptr) return;
   // Drop the stale arena eagerly (the generation check alone would keep it
-  // correct) so what-if churn doesn't hold dead arenas alive.
-  if (arena_slot_->arena.exchange(nullptr) != nullptr) {
+  // correct) so mutation churn doesn't hold dead arenas alive.
+  std::shared_ptr<const TreeArena> stale;
+  {
+    std::lock_guard<std::mutex> lock(arena_slot_->mu);
+    stale.swap(arena_slot_->arena);
+  }
+  if (stale != nullptr) {
     static obs::Counter* invalidates =
         obs::GetCounter("forest.arena.invalidate");
     invalidates->Inc();
@@ -316,26 +320,20 @@ std::shared_ptr<const TreeArena> DareTree::arena() const {
   FUME_DCHECK_EQ(lazy_nodes_, 0);
   if (arena_slot_ == nullptr) return nullptr;
   static obs::Counter* reuses = obs::GetCounter("forest.arena.reuse");
-  std::shared_ptr<const TreeArena> cur = arena_slot_->arena.load();
-  if (cur != nullptr && cur->generation() == generation_) {
-    reuses->Inc();
-    return cur;
-  }
   std::lock_guard<std::mutex> lock(arena_slot_->mu);
-  cur = arena_slot_->arena.load();
+  const std::shared_ptr<const TreeArena>& cur = arena_slot_->arena;
   if (cur != nullptr && cur->generation() == generation_) {
     reuses->Inc();
     return cur;
   }
-  // The last compiled node count is the best size hint available — what-if
-  // mutations move it by at most a retrained subtree. The slot remembers it
+  // The last compiled node count is the best size hint available — a
+  // mutation moves it by at most a retrained subtree. The slot remembers it
   // across eager invalidation, so post-mutation recompiles reserve too.
   std::shared_ptr<const TreeArena> fresh = TreeArena::Compile(
       root_.get(), generation_,
-      cur == nullptr ? arena_slot_->size_hint.load(std::memory_order_relaxed)
-                     : cur->num_nodes());
-  arena_slot_->size_hint.store(fresh->num_nodes(), std::memory_order_relaxed);
-  arena_slot_->arena.store(fresh);
+      cur == nullptr ? arena_slot_->size_hint : cur->num_nodes());
+  arena_slot_->size_hint = fresh->num_nodes();
+  arena_slot_->arena = fresh;
   return fresh;
 }
 
@@ -578,6 +576,314 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
     DeleteFromNodeKernel(&node->right, mid, end, depth + 1,
                          ChildPathKey(path_key, 1), stats_out, scratch);
   }
+}
+
+Status TreeScoreScratch::LoadDoomed(const TrainingStore& store,
+                                    const std::vector<RowId>& rows) {
+  FUME_RETURN_NOT_OK(deletion.MarkDoomedBatch(rows, store.num_rows()));
+  doomed.Clear(store.num_attrs());
+  doomed.Reserve(static_cast<int64_t>(rows.size()));
+  for (const RowId r : rows) doomed.Append(store, r);
+  return Status::OK();
+}
+
+struct DareTree::ScoreContext {
+  const WhatIfTestRows& test;
+  WhatIfSink* sink;
+  TreeScoreScratch* scratch;
+  DeletionStats* stats;
+};
+
+namespace {
+
+/// A leaf's positive fraction, as DareTree::PredictProb computes it.
+double LeafProb(int64_t count, int64_t pos) {
+  return count == 0 ? 0.5
+                    : static_cast<double>(pos) / static_cast<double>(count);
+}
+
+/// Unstable in-place split of table indices [begin, end) around (attr,
+/// threshold) that looks at each record exactly once, handing its codes
+/// and label to on_left/on_right as it is classified — a histogram update
+/// rides on the routing pass. Returns the boundary.
+template <typename OnLeft, typename OnRight>
+int32_t* RouteRecords(const RecordTable& table, int32_t* begin, int32_t* end,
+                      int attr, int32_t threshold, OnLeft&& on_left,
+                      OnRight&& on_right) {
+  int32_t* lo = begin;
+  int32_t* hi = end;
+  while (lo != hi) {
+    const int32_t k = *lo;
+    const int32_t* codes = table.codes(k);
+    if (codes[attr] <= threshold) {
+      on_left(codes, table.label(k));
+      ++lo;
+    } else {
+      on_right(codes, table.label(k));
+      *lo = *--hi;
+      *hi = k;
+    }
+  }
+  return lo;
+}
+
+/// One child of a score-only rebuild: its stats and where its rows' table
+/// indices go (null stats when the child needs no rows).
+struct ChildSink {
+  NodeStats* stats = nullptr;
+  int32_t* write = nullptr;
+};
+
+/// Walks the subtree's leaves and copies every surviving (not doomed) row
+/// that a growing child of (attr, threshold) needs into `survivors`,
+/// filling that child's histograms from the fresh copy.
+void GatherSurvivors(const TreeNode* node, const DeletionScratch& doomed,
+                     const TrainingStore& store, int attr, int32_t threshold,
+                     RecordTable* survivors, ChildSink* left,
+                     ChildSink* right) {
+  if (!node->is_leaf()) {
+    GatherSurvivors(node->left.get(), doomed, store, attr, threshold,
+                    survivors, left, right);
+    GatherSurvivors(node->right.get(), doomed, store, attr, threshold,
+                    survivors, left, right);
+    return;
+  }
+  // Leaf rows are scattered over the store: fetch the lines a few rows
+  // ahead so their cache misses overlap instead of queueing.
+  constexpr size_t kAhead = 8;
+  const std::vector<RowId>& rows = node->rows;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i + kAhead < rows.size()) {
+      const int32_t* ahead = store.codes(rows[i + kAhead]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + store.num_attrs() - 1);
+    }
+    const RowId r = rows[i];
+    if (doomed.IsDoomed(r)) continue;
+    ChildSink* side = store.code(r, attr) <= threshold ? left : right;
+    if (side->stats == nullptr) continue;
+    const int32_t k = survivors->Append(store, r);
+    side->stats->AddCodes(survivors->codes(k), survivors->label(k));
+    *side->write++ = k;
+  }
+}
+
+}  // namespace
+
+void DareTree::ScoreWithout(const std::vector<RowId>& rows,
+                            const WhatIfTestRows& test, WhatIfSink* sink,
+                            TreeScoreScratch* scratch,
+                            DeletionStats* stats_out) const {
+  if (rows.empty() || root_ == nullptr) return;
+  FUME_CHECK_EQ(lazy_nodes_, 0);
+  FUME_CHECK_EQ(scratch->doomed.size(), static_cast<int64_t>(rows.size()));
+  // Two slots per depth (a rebuild holds both children's stats at once);
+  // split decisions stop at max_depth, so no path is longer.
+  const size_t slots = 2 * (static_cast<size_t>(config_.max_depth) + 1);
+  if (scratch->depth_stats.size() < slots) scratch->depth_stats.resize(slots);
+  std::vector<int32_t>& route = scratch->route;
+  route.resize(rows.size());
+  for (size_t k = 0; k < route.size(); ++k) {
+    route[k] = static_cast<int32_t>(k);
+  }
+  DeletionStats local;
+  ScoreContext ctx{test, sink, scratch, &local};
+  ScoreNode(ctx, root_.get(), route.data(), route.data() + route.size(),
+            /*depth=*/0, RootPathKey(config_.seed, tree_id_), 0,
+            test.num_rows);
+  RecordBatch(local);
+  stats_out->Add(local);
+}
+
+void DareTree::ScoreNode(ScoreContext& ctx, const TreeNode* node,
+                         int32_t* begin, int32_t* end, int depth,
+                         uint64_t path_key, int64_t test_begin,
+                         int64_t test_end) const {
+  ++ctx.stats->nodes_visited;
+  const int64_t n = end - begin;
+  const RecordTable& doomed = ctx.scratch->doomed;
+  const WhatIfTestRows& test = ctx.test;
+
+  if (node->is_leaf()) {
+    // Leaves never grow under deletion: only the label counts change.
+    ++ctx.stats->leaves_updated;
+    int64_t removed_pos = 0;
+    for (const int32_t* k = begin; k != end; ++k) {
+      removed_pos += doomed.label(*k);
+    }
+#ifndef NDEBUG
+    // The kernel's per-leaf membership check: every routed row is here.
+    int64_t doomed_here = 0;
+    for (const RowId r : node->rows) {
+      doomed_here += ctx.scratch->deletion.IsDoomed(r) ? 1 : 0;
+    }
+    FUME_DCHECK_EQ(doomed_here, n);
+#endif
+    if (test_begin != test_end) {
+      ctx.sink->Emit(test.order + test_begin, test_end - test_begin,
+                     LeafProb(node->count - n, node->pos - removed_pos));
+    }
+    return;
+  }
+
+  // DeleteFromNodeKernel's stats update, applied to a scratch copy of the
+  // node's stats instead of the node itself, fused with routing the span.
+  ++ctx.stats->nodes_updated;
+  const size_t slot = 2 * static_cast<size_t>(depth);
+  FUME_CHECK_LT(slot, ctx.scratch->depth_stats.size());
+  NodeStats& stats = ctx.scratch->depth_stats[slot];
+  stats = node->stats;
+  const auto remove = [&](const int32_t* codes, int label) {
+    stats.RemoveCodes(codes, label);
+  };
+  int32_t* mid = RouteRecords(doomed, begin, end, node->attr,
+                              node->threshold, remove, remove);
+  const SplitDecision decision =
+      DecideSplit(stats, *store_, depth, path_key, config_);
+  SplitDecision current;
+  current.is_leaf = false;
+  current.attr = node->attr;
+  current.threshold = node->threshold;
+  current.is_random = node->is_random;
+
+  if (!decision.SameSplit(current)) {
+    ++ctx.stats->subtrees_retrained;
+    RecordRetrain(depth, config_.random_depth);
+    // The cached-stats invariant: the surviving rows are exactly the
+    // stats' count, so the retrain's size needs no collection pass.
+    ctx.stats->rows_retrained += stats.count;
+    if (test_begin == test_end) return;  // no test row to rescore
+    if (decision.is_leaf) {
+      ctx.sink->Emit(test.order + test_begin, test_end - test_begin,
+                     LeafProb(stats.count, stats.pos));
+      return;
+    }
+    std::vector<int32_t>& tests = ctx.scratch->test_rows;
+    tests.assign(test.order + test_begin, test.order + test_end);
+    ScoreSubtree(ctx, node, nullptr, nullptr, tests.data(),
+                 tests.data() + tests.size(), depth, path_key, stats,
+                 decision);
+    return;
+  }
+
+  // The split holds: the base tree routes test rows here, so the test range
+  // splits where the left subtree's DFS block ends.
+  const int32_t* order = test.order;
+  const int64_t test_mid =
+      std::partition_point(order + test_begin, order + test_end,
+                           [&](int32_t r) {
+                             return test.Code(r, node->attr) <=
+                                    node->threshold;
+                           }) -
+      order;
+  if (mid != begin) {
+    ScoreNode(ctx, node->left.get(), begin, mid, depth + 1,
+              ChildPathKey(path_key, 0), test_begin, test_mid);
+  }
+  if (mid != end) {
+    ScoreNode(ctx, node->right.get(), mid, end, depth + 1,
+              ChildPathKey(path_key, 1), test_mid, test_end);
+  }
+}
+
+void DareTree::ScoreSubtree(ScoreContext& ctx, const TreeNode* source,
+                            int32_t* begin, int32_t* end, int32_t* tbegin,
+                            int32_t* tend, int depth, uint64_t path_key,
+                            const NodeStats& stats,
+                            const SplitDecision& decision) const {
+  const int attr = decision.attr;
+  const int32_t threshold = decision.threshold;
+  const WhatIfTestRows& test = ctx.test;
+  TreeScoreScratch* scratch = ctx.scratch;
+  // Children's label counts straight from the split attribute's histogram.
+  const int ci = stats.CandIndex(attr);
+  FUME_DCHECK(ci >= 0);
+  const int64_t* h = stats.HistRow(static_cast<size_t>(ci));
+  int64_t left_count = 0;
+  int64_t left_pos = 0;
+  for (int32_t v = 0; v <= threshold; ++v) {
+    left_count += h[2 * static_cast<size_t>(v)];
+    left_pos += h[2 * static_cast<size_t>(v) + 1];
+  }
+  const int64_t right_count = stats.count - left_count;
+  const int64_t right_pos = stats.pos - left_pos;
+
+  // Leaf membership order is irrelevant to a score, so every partition
+  // here is the unstable in-place kind.
+  int32_t* tmid = std::partition(
+      tbegin, tend, [&](int32_t r) { return test.Code(r, attr) <= threshold; });
+  const bool left_grows =
+      tmid != tbegin && !IsLeafByCounts(left_count, left_pos, depth + 1);
+  const bool right_grows =
+      tmid != tend && !IsLeafByCounts(right_count, right_pos, depth + 1);
+  if (tmid != tbegin && !left_grows) {
+    ctx.sink->Emit(tbegin, tmid - tbegin, LeafProb(left_count, left_pos));
+  }
+  if (tmid != tend && !right_grows) {
+    ctx.sink->Emit(tmid, tend - tmid, LeafProb(right_count, right_pos));
+  }
+  if (!left_grows && !right_grows) return;
+
+  // Each growing child's histograms fill while its rows are routed to it.
+  const uint64_t left_key = ChildPathKey(path_key, 0);
+  const uint64_t right_key = ChildPathKey(path_key, 1);
+  const size_t slot = 2 * (static_cast<size_t>(depth) + 1);
+  ChildSink left;
+  ChildSink right;
+  const auto open = [&](ChildSink* child, NodeStats* child_stats,
+                        uint64_t key) {
+    child->stats = child_stats;
+    // Chosen into the slot's own buffer and moved back in by Reset: no
+    // allocation once warm.
+    ChooseCandidateAttrs(key, store_->num_attrs(), depth + 1, config_,
+                         &child_stats->cand_attrs);
+    child_stats->Reset(*store_, std::move(child_stats->cand_attrs));
+  };
+  if (left_grows) open(&left, &scratch->depth_stats[slot], left_key);
+  if (right_grows) open(&right, &scratch->depth_stats[slot + 1], right_key);
+  int32_t* mid = nullptr;
+  if (source != nullptr) {
+    // The rebuild's root: its survivors are gathered from the base
+    // subtree's leaves straight into the growing children.
+    const int64_t kept = (left_grows ? left_count : 0) +
+                         (right_grows ? right_count : 0);
+    scratch->survivors.Clear(store_->num_attrs());
+    scratch->survivors.Reserve(kept);
+    std::vector<int32_t>& order = scratch->survivor_order;
+    order.resize(static_cast<size_t>(kept));
+    begin = order.data();
+    end = begin + kept;
+    mid = begin + (left_grows ? left_count : 0);
+    left.write = begin;
+    right.write = mid;
+    GatherSurvivors(source, scratch->deletion, *store_, attr, threshold,
+                    &scratch->survivors, &left, &right);
+    FUME_DCHECK(left.write == (left_grows ? mid : begin));
+    FUME_DCHECK(right.write == (right_grows ? end : mid));
+  } else {
+    mid = RouteRecords(
+        scratch->survivors, begin, end, attr, threshold,
+        [&](const int32_t* codes, int label) {
+          if (left_grows) left.stats->AddCodes(codes, label);
+        },
+        [&](const int32_t* codes, int label) {
+          if (right_grows) right.stats->AddCodes(codes, label);
+        });
+  }
+
+  const auto grow = [&](const NodeStats& child, int32_t* b, int32_t* e,
+                        int32_t* tb, int32_t* te, uint64_t key) {
+    FUME_DCHECK_EQ(child.count, e - b);
+    const SplitDecision d =
+        DecideSplit(child, *store_, depth + 1, key, config_);
+    if (d.is_leaf) {
+      ctx.sink->Emit(tb, te - tb, LeafProb(child.count, child.pos));
+    } else {
+      ScoreSubtree(ctx, nullptr, b, e, tb, te, depth + 1, key, child, d);
+    }
+  };
+  if (left_grows) grow(*left.stats, begin, mid, tbegin, tmid, left_key);
+  if (right_grows) grow(*right.stats, mid, end, tmid, tend, right_key);
 }
 
 void DareTree::DeleteFromNodeLazy(std::shared_ptr<TreeNode>* slot,
@@ -1085,10 +1391,9 @@ DareTree DareTree::Clone() const {
   out.lazy_nodes_ = lazy_nodes_;
   out.arena_slot_ = std::make_shared<arena_internal::ArenaSlot>();
   if (arena_slot_ != nullptr) {
-    out.arena_slot_->arena.store(arena_slot_->arena.load());
-    out.arena_slot_->size_hint.store(
-        arena_slot_->size_hint.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(arena_slot_->mu);
+    out.arena_slot_->arena = arena_slot_->arena;
+    out.arena_slot_->size_hint = arena_slot_->size_hint;
   }
   return out;
 }

@@ -92,6 +92,89 @@ struct TreeNode {
   bool is_leaf() const { return left == nullptr; }
 };
 
+/// Test rows handed to DareTree::ScoreWithout: a packed row-major code
+/// matrix plus the tree's test rows in base-leaf DFS order, so every node
+/// of the base tree owns one contiguous range of `order` (the per-tree
+/// what-if index that TestPredictionCache builds once).
+struct WhatIfTestRows {
+  const int32_t* codes = nullptr;
+  int num_attrs = 0;
+  const int32_t* order = nullptr;
+  int64_t num_rows = 0;
+
+  int32_t Code(int32_t row, int attr) const {
+    return codes[static_cast<int64_t>(row) * num_attrs + attr];
+  }
+};
+
+/// Receives ScoreWithout's output: test rows whose leaf in "tree minus S"
+/// differs from their base leaf, with that leaf's probability.
+class WhatIfSink {
+ public:
+  virtual ~WhatIfSink() = default;
+  virtual void Emit(const int32_t* rows, int64_t n, double prob) = 0;
+};
+
+/// Compact copies of training rows that a pass reads many times — each
+/// row's codes (indexed by attribute id), then its label — so repeated
+/// passes read a small dense table instead of scattered store lines.
+class RecordTable {
+ public:
+  /// Empties the table for rows of `num_attrs` attributes.
+  void Clear(int num_attrs) {
+    stride_ = static_cast<size_t>(num_attrs) + 1;
+    data_.clear();
+  }
+  void Reserve(int64_t rows) {
+    data_.reserve(static_cast<size_t>(rows) * stride_);
+  }
+  /// Copies the store row in; returns its index in the table.
+  int32_t Append(const TrainingStore& store, RowId row) {
+    const auto k = static_cast<int32_t>(data_.size() / stride_);
+    const int32_t* codes = store.codes(row);
+    data_.insert(data_.end(), codes, codes + (stride_ - 1));
+    data_.push_back(store.label(row));
+    return k;
+  }
+  const int32_t* codes(int32_t k) const {
+    return data_.data() + static_cast<size_t>(k) * stride_;
+  }
+  int label(int32_t k) const { return codes(k)[stride_ - 1]; }
+  int64_t size() const { return static_cast<int64_t>(data_.size() / stride_); }
+
+ private:
+  size_t stride_ = 1;
+  std::vector<int32_t> data_;
+};
+
+/// Reusable working memory for DareTree::ScoreWithout. One per worker;
+/// warm after the first call (epoch-stamped doomed marks, tables, per-depth
+/// stats and routing buffers keep their capacity).
+struct TreeScoreScratch {
+  /// Loads a batch once per forest-level call (after deletion.BeginBatch):
+  /// marks `rows` doomed and copies them into `doomed`. Out-of-range or
+  /// repeated rows get DareForest::DeleteRows' Status.
+  Status LoadDoomed(const TrainingStore& store,
+                    const std::vector<RowId>& rows);
+
+  /// Doomed-row marks (a score-only rebuild skips marked leaf rows).
+  DeletionScratch deletion;
+  /// The batch's rows, indexed in batch order.
+  RecordTable doomed;
+  /// The surviving rows of the score-only rebuild in progress.
+  RecordTable survivors;
+  /// Indices into `doomed`, partitioned in place by the walk.
+  std::vector<int32_t> route;
+  /// Indices into `survivors`, partitioned in place by the rebuild.
+  std::vector<int32_t> survivor_order;
+  /// depth_stats[2 * d]: the walk's node at depth d (base stats minus the
+  /// doomed rows); depth_stats[2 * d + side]: a rebuild's child at depth d
+  /// on that side, recomputed from the surviving rows.
+  std::vector<NodeStats> depth_stats;
+  /// Test rows of the subtree being rebuilt, partitioned in place.
+  std::vector<int32_t> test_rows;
+};
+
 /// \brief One data-removal-enabled decision tree.
 ///
 /// Construction is a pure function of (store contents, seed, tree_id,
@@ -132,6 +215,24 @@ class DareTree {
   /// doomed marks, so any scratch works regardless of batch state).
   void AddRows(const std::vector<RowId>& rows, DeletionStats* stats_out,
                DeletionScratch* scratch);
+
+  /// Read-only what-if: reports, without touching this tree, the leaf
+  /// probabilities that DeleteRows(rows) would give the test rows. Mirrors
+  /// DeleteFromNodeKernel node for node — split decisions are taken on the
+  /// base stats minus the doomed rows, held in scratch->depth_stats — and
+  /// appends to *stats_out exactly the counters that call would (minus
+  /// nodes_copied, which stays 0). Test rows reaching a leaf that lost rows
+  /// are emitted with its new probability. Where a decision flips, a
+  /// score-only rebuild partitions the surviving train rows together with
+  /// the test rows reaching the node and emits leaf probabilities directly:
+  /// no TreeNode, leaf-row vector or arena is created and nothing is
+  /// sorted. `scratch` must have been loaded with the batch
+  /// (TreeScoreScratch::LoadDoomed); `rows` must be learned by this tree
+  /// and the tree flushed (no lazy tags). Rows not learned are caught in
+  /// debug builds only.
+  void ScoreWithout(const std::vector<RowId>& rows,
+                    const WhatIfTestRows& test, WhatIfSink* sink,
+                    TreeScoreScratch* scratch, DeletionStats* stats_out) const;
 
   /// Rebuilds every pending LazyTag subtree, topmost first: marks the tag's
   /// doomed rows in a fresh scratch batch, collects the surviving leaf rows,
@@ -299,6 +400,34 @@ class DareTree {
   RowId* PartitionBySplit(const TreeNode* node, RowId* begin, RowId* end,
                           DeletionScratch* scratch,
                           int64_t* left_pos_out = nullptr) const;
+  /// What ScoreWithout's recursion shares.
+  struct ScoreContext;
+  /// ScoreWithout's walk over the base tree: the doomed rows [begin, end)
+  /// (indices into scratch->doomed) and the test range [test_begin,
+  /// test_end) of test.order both reach `node`.
+  void ScoreNode(ScoreContext& ctx, const TreeNode* node, int32_t* begin,
+                 int32_t* end, int depth, uint64_t path_key,
+                 int64_t test_begin, int64_t test_end) const;
+  /// Score-only rebuild below a node whose split `decision` (non-leaf) was
+  /// taken on `stats`: routes the surviving train rows [begin, end)
+  /// (indices into scratch->survivors) and the test rows [tbegin, tend) by
+  /// it, filling each child's histograms in the same pass, and recurses
+  /// into each child that some test row reaches. A child the
+  /// histogram-free leaf checks settle takes its count and positives from
+  /// `stats`, so no train row is routed to it. At the rebuild's root
+  /// `source` is the base node and the span is empty: the survivors are
+  /// gathered from its leaves, and only those a child needs are kept.
+  void ScoreSubtree(ScoreContext& ctx, const TreeNode* source,
+                    int32_t* begin, int32_t* end, int32_t* tbegin,
+                    int32_t* tend, int depth, uint64_t path_key,
+                    const NodeStats& stats,
+                    const SplitDecision& decision) const;
+  /// The histogram-free leaf conditions (DecideSplit's first three checks,
+  /// also used by BuildNodeKernel).
+  bool IsLeafByCounts(int64_t count, int64_t pos, int depth) const {
+    return count < config_.min_samples_split || pos == 0 || pos == count ||
+           depth >= config_.max_depth;
+  }
   static void CollectLeafRows(const TreeNode* node, std::vector<RowId>* out);
   /// Kernel variant: collects leaf rows left-to-right while dropping doomed
   /// rows in the same pass (same surviving order as CollectLeafRows +

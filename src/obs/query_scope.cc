@@ -89,6 +89,13 @@ int64_t QueryCost::CounterDelta(const std::string& name) const {
   return 0;
 }
 
+double QueryCost::RetrainAmplification() const {
+  const int64_t deleted = CounterDelta("forest.unlearn.rows_deleted");
+  const int64_t retrained = CounterDelta("forest.unlearn.rows_retrained");
+  if (deleted == 0 || retrained == 0) return 0.0;
+  return static_cast<double>(retrained) / static_cast<double>(deleted);
+}
+
 namespace {
 
 void AppendMicrosField(const char* key, double seconds, std::ostream& os) {
@@ -122,7 +129,15 @@ std::string QueryCost::ToJson() const {
     os << '"' << h.name << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
        << '}';
   }
-  os << "}}";
+  os << '}';
+  if (const double amplification = RetrainAmplification();
+      amplification > 0.0) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ",\"retrain_amplification\":%.3f",
+                  amplification);
+    os << buf;
+  }
+  os << '}';
   return os.str();
 }
 
@@ -143,6 +158,11 @@ std::string QueryCost::CompactString() const {
     os << (any ? " " : " | ") << h.name << "=" << h.sum << "/" << h.count;
     any = true;
   }
+  if (const double amplification = RetrainAmplification();
+      amplification > 0.0) {
+    std::snprintf(buf, sizeof(buf), "%.1f", amplification);
+    os << (any ? " " : " | ") << "retrain_amplification=" << buf;
+  }
   return os.str();
 }
 
@@ -159,6 +179,14 @@ void QueryCost::PrintText(std::ostream& os) const {
     if (h.count != 0) {
       os << "  " << h.name << " count+" << h.count << " sum+" << h.sum << "\n";
     }
+  }
+  if (const double amplification = RetrainAmplification();
+      amplification > 0.0) {
+    std::snprintf(buf, sizeof(buf),
+                  "  retrain amplification (rows_retrained / rows_deleted) "
+                  "%.1fx\n",
+                  amplification);
+    os << buf;
   }
 }
 

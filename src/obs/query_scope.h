@@ -124,9 +124,16 @@ struct QueryCost {
   /// Delta of a named tracked counter, or 0 when not tracked.
   int64_t CounterDelta(const std::string& name) const;
 
+  /// Retrain amplification: forest.unlearn.rows_retrained ÷
+  /// forest.unlearn.rows_deleted — how many rows unlearning re-read per row
+  /// it removed (DaRE's cost model). 0 unless both deltas are non-zero;
+  /// the report formats print it only then.
+  double RetrainAmplification() const;
+
   /// {"label":...,"wall_us":...,"cpu_us":...,"counters":{name:delta,...},
   /// "histograms":{name:{"count":...,"sum":...},...}} — zero deltas are
-  /// elided so event-log lines stay small.
+  /// elided so event-log lines stay small — plus "retrain_amplification"
+  /// when it is non-zero.
   std::string ToJson() const;
   /// One human line: `wall 12.3ms cpu 18.0ms | name=delta ...` (nonzero
   /// deltas only), for CLI per-query reporting.

@@ -3,14 +3,14 @@
 #include <cmath>
 
 #include "fairness/metrics.h"
+#include "forest/prediction_cache.h"
 
 namespace fume {
 
 namespace {
 
-ModelEval Evaluate(const DareForest& model, const Dataset& test,
+ModelEval Evaluate(const std::vector<int>& preds, const Dataset& test,
                    const GroupSpec& group, FairnessMetric metric) {
-  const std::vector<int> preds = model.PredictAll(test);
   ModelEval eval;
   eval.fairness = ComputeFairness(test, preds, group, metric);
   int64_t correct = 0;
@@ -22,6 +22,11 @@ ModelEval Evaluate(const DareForest& model, const Dataset& test,
                       : static_cast<double>(correct) /
                             static_cast<double>(test.num_rows());
   return eval;
+}
+
+ModelEval Evaluate(const DareForest& model, const Dataset& test,
+                   const GroupSpec& group, FairnessMetric metric) {
+  return Evaluate(model.PredictAll(test), test, group, metric);
 }
 
 double ParityReduction(const ModelEval& before, const ModelEval& after) {
@@ -92,14 +97,17 @@ Result<WhatIfResult> WhatIfRemove(const DareForest& model,
                                   const Predicate& subset) {
   FUME_RETURN_NOT_OK(CheckSubset(subset));
   WhatIfResult result;
-  result.before = Evaluate(model, test, group, metric);
   const std::vector<int32_t> rows = subset.MatchingRows(train);
   result.rows_affected = static_cast<int64_t>(rows.size());
 
-  DareForest what_if = model.Clone();
-  FUME_RETURN_NOT_OK(
-      what_if.DeleteRows(std::vector<RowId>(rows.begin(), rows.end())));
-  result.after = Evaluate(what_if, test, group, metric);
+  // Read-only: the model minus the rows is scored without cloning it.
+  TestPredictionCache cache;
+  cache.Rebuild(model, test);
+  result.before = Evaluate(cache.predictions(), test, group, metric);
+  TestPredictionCache::ScoreScratch scratch;
+  FUME_RETURN_NOT_OK(cache.ScoreWithout(
+      model, std::vector<RowId>(rows.begin(), rows.end()), test, &scratch));
+  result.after = Evaluate(scratch.preds, test, group, metric);
   result.parity_reduction = ParityReduction(result.before, result.after);
   return result;
 }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/removal_method.h"
 #include "fairness/metrics.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -202,30 +201,20 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
   out.rows_matched = static_cast<int64_t>(worker->matched.size());
 
   if (!worker->matched.empty()) {
-    // The snapshot forest is flushed by contract, but a clone inherits
-    // lazy_unlearn from the tenant config; this delete is scored right
-    // away, so deferral would only add tag bookkeeping before ScoreWhatIf
-    // flushed it again.
-    const bool arena_rescore =
-        worker->matched.size() >=
-        UnlearnRemovalMethod::kArenaFullRescoreMinBatch;
+    // Read-only against the snapshot: its forest and warm cache are
+    // flushed and frozen by contract, so nothing is cloned or mutated.
     const std::vector<int>* preds = nullptr;
     if (is_sharded) {
-      ShardedForest clone = snap.sharded->Clone();
-      if (clone.shard(0).config().lazy_unlearn) clone.SetLazyUnlearn(false);
-      FUME_CHECK(clone.DeleteRows(worker->matched, nullptr, /*pool=*/nullptr,
-                                  &worker->shard_deletion)
+      FUME_CHECK(snap.shard_cache
+                     ->ScoreWithout(*snap.sharded, worker->matched,
+                                    test_data(), &worker->shard_scratch)
                      .ok());
-      snap.shard_cache->ScoreWhatIf(*snap.sharded, clone, test_data(),
-                                    &worker->shard_scratch, arena_rescore);
       preds = &worker->shard_scratch.preds;
     } else {
-      DareForest clone = snap.forest.Clone();
-      if (clone.config().lazy_unlearn) clone.SetLazyUnlearn(false);
-      FUME_CHECK(clone.DeleteRows(worker->matched, nullptr, &worker->deletion)
+      FUME_CHECK(snap.cache
+                     ->ScoreWithout(snap.forest, worker->matched, test_data(),
+                                    &worker->scratch)
                      .ok());
-      snap.cache->ScoreWhatIf(snap.forest, clone, test_data(),
-                              &worker->scratch, arena_rescore);
       preds = &worker->scratch.preds;
     }
     const Dataset& test = test_data();

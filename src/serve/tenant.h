@@ -26,7 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "forest/deletion_scratch.h"
+#include "forest/prediction_cache.h"
+#include "forest/sharded_forest.h"
 #include "serve/batcher.h"
 #include "stream/engine.h"
 #include "util/thread_pool.h"
@@ -107,11 +108,8 @@ class Tenant {
   /// Per-worker warm scratch so steady-state batches do not allocate.
   struct WhatIfWorker {
     std::vector<RowId> matched;
-    DeletionScratch deletion;
-    TestPredictionCache::WhatIfScratch scratch;
-    /// Sharded-tenant counterparts (shard_deletion entry s serves shard s).
-    std::vector<DeletionScratch> shard_deletion;
-    ShardedPredictionCache::WhatIfScratch shard_scratch;
+    TestPredictionCache::ScoreScratch scratch;
+    ShardedPredictionCache::ScoreScratch shard_scratch;  // sharded tenants
   };
 
   Tenant(std::string name, TenantConfig config);

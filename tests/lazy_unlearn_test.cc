@@ -35,6 +35,13 @@ struct LazyCase {
   uint64_t seed;
 };
 
+// Prints the case by value so the "# GetParam()" comment in the test list
+// is the same on every run; gtest's default byte dump would show the
+// address of the dataset literal, which changes with ASLR.
+void PrintTo(const LazyCase& c, std::ostream* os) {
+  *os << c.dataset << "/s" << c.seed;
+}
+
 std::string CaseName(const testing::TestParamInfo<LazyCase>& info) {
   return std::string(info.param.dataset) + "_s" +
          std::to_string(info.param.seed);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +120,39 @@ TEST(QueryScopeTest, ReportFormatsElideZeroDeltas) {
   EXPECT_NE(compact.find("wall "), std::string::npos);
   EXPECT_NE(compact.find("test.qscope.fmt_hot=9"), std::string::npos);
   EXPECT_EQ(compact.find("fmt_cold"), std::string::npos);
+}
+
+TEST(QueryScopeTest, ReportsRetrainAmplificationWhenBothCountersMove) {
+  obs::Counter* deleted = obs::GetCounter("forest.unlearn.rows_deleted");
+  obs::Counter* retrained = obs::GetCounter("forest.unlearn.rows_retrained");
+  {
+    obs::QueryScope scope("amplified", {"forest.unlearn.rows_deleted",
+                                        "forest.unlearn.rows_retrained"});
+    deleted->Inc(4);
+    retrained->Inc(10);
+    const obs::QueryCost cost = scope.Finish();
+    EXPECT_DOUBLE_EQ(cost.RetrainAmplification(), 2.5);
+    EXPECT_NE(cost.ToJson().find("\"retrain_amplification\":2.500"),
+              std::string::npos);
+    EXPECT_NE(cost.CompactString().find("retrain_amplification=2.5"),
+              std::string::npos);
+    std::ostringstream text;
+    cost.PrintText(text);
+    EXPECT_NE(text.str().find("retrain amplification (rows_retrained / "
+                              "rows_deleted) 2.5x"),
+              std::string::npos);
+  }
+  // Deletions that retrained nothing: no ratio is printed anywhere.
+  obs::QueryScope scope("flat", {"forest.unlearn.rows_deleted",
+                                 "forest.unlearn.rows_retrained"});
+  deleted->Inc(3);
+  const obs::QueryCost cost = scope.Finish();
+  EXPECT_EQ(cost.RetrainAmplification(), 0.0);
+  EXPECT_EQ(cost.ToJson().find("amplification"), std::string::npos);
+  EXPECT_EQ(cost.CompactString().find("amplification"), std::string::npos);
+  std::ostringstream text;
+  cost.PrintText(text);
+  EXPECT_EQ(text.str().find("amplification"), std::string::npos);
 }
 
 // ------------------------------------------- cross-thread attribution

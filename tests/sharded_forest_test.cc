@@ -435,8 +435,8 @@ TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(test));
 
-  // What-if against a clone: voted preds equal the clone's own PredictAll,
-  // and only the touched shards are counted as changed.
+  // Read-only what-if: voted preds equal a clone's PredictAll after the
+  // same deletion, and only the owning shard is counted as changed.
   ShardedForest clone = forest->Clone();
   std::vector<RowId> what_if;
   for (RowId g = 0; g < forest->num_global_ids() && what_if.size() < 10; ++g) {
@@ -444,8 +444,8 @@ TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {
   }
   ASSERT_FALSE(what_if.empty());
   ASSERT_TRUE(clone.DeleteRows(what_if).ok());
-  ShardedPredictionCache::WhatIfScratch scratch;
-  cache.ScoreWhatIf(*forest, clone, test, &scratch);
+  ShardedPredictionCache::ScoreScratch scratch;
+  ASSERT_TRUE(cache.ScoreWithout(*forest, what_if, test, &scratch).ok());
   EXPECT_EQ(scratch.preds, clone.PredictAll(test));
   EXPECT_EQ(scratch.shards_changed, 1);
 }
