@@ -12,16 +12,79 @@
 // and bench_artifacts/BENCH_incremental.json (per-mode throughput cells
 // consumed by bench_check). --smoke shrinks the substrate to a crash
 // tripwire and drops the speedup gate (shared-CI timing is noise).
+//
+// The artifact also carries an N-sweep: engine time per single-row op
+// (400 ops, no searches) at about 10k and 40k training rows over one fixed
+// test set, min/median/max over repeats — the record that an op's upkeep
+// is flat in the training-set size (docs/performance.md "Stream op
+// upkeep").
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/removal_method.h"
 #include "stream/engine.h"
 #include "stream/workload.h"
+
+namespace {
+
+using namespace fume;
+
+/// One N-sweep cell: engine seconds for `ops` single-row ops applied to an
+/// engine over `rows` training rows, over repeats on fresh engines.
+struct SweepCell {
+  int64_t rows = 0;
+  int ops = 0;
+  std::vector<double> seconds;  // sorted
+};
+
+SweepCell RunSweepCell(const Dataset& data, const Dataset& test,
+                       int64_t rows, int num_ops, int repeats,
+                       const stream::StreamEngineConfig& config) {
+  std::vector<int64_t> initial_rows, pool_rows;
+  for (int64_t r = 0; r < rows; ++r) initial_rows.push_back(r);
+  for (int64_t r = rows; r < rows + num_ops; ++r) pool_rows.push_back(r);
+  const Dataset initial = data.Select(initial_rows);
+  const Dataset pool = data.Select(pool_rows);
+  stream::WorkloadOptions w;
+  w.num_ops = num_ops + 1;  // plus the mandatory final checkpoint
+  w.insert_batch = 1;
+  w.delete_batch = 1;
+  w.checkpoint_every = 0;
+  w.seed = 13;
+  auto ops = stream::SynthesizeOpLog(pool, rows, w);
+  FUME_ABORT_NOT_OK(ops.status());
+  SweepCell cell;
+  cell.rows = rows;
+  for (int rep = 0; rep < repeats; ++rep) {
+    auto engine = stream::StreamEngine::Create(initial, test, config);
+    FUME_ABORT_NOT_OK(engine.status());
+    double total = 0.0;
+    int applied = 0;
+    for (const stream::StreamOp& op : *ops) {
+      if (op.kind == stream::OpKind::kCheckpoint) continue;
+      Stopwatch watch;
+      FUME_ABORT_NOT_OK(engine->Apply(op).status());
+      total += watch.ElapsedSeconds();
+      ++applied;
+    }
+    cell.ops = applied;
+    cell.seconds.push_back(total);
+  }
+  std::sort(cell.seconds.begin(), cell.seconds.end());
+  return cell;
+}
+
+double MicrosPerOp(const SweepCell& cell, double seconds) {
+  return cell.ops > 0 ? seconds * 1e6 / cell.ops : 0.0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fume;
@@ -132,25 +195,92 @@ int main(int argc, char** argv) {
   WriteArtifact("stream_throughput",
                 {"seq", "kind", "engine_ms", "cold_ms", "speedup"}, rows);
 
+  // N-sweep: one fixed test set, two training-set sizes, no searches
+  // (drift pinned, no initial violation floor crossed), so each op's time is
+  // the forest call plus the engine's own upkeep.
+  synth::PlantedOptions sweep_opts;
+  const int64_t sweep_test_rows = smoke ? 1000 : 3000;
+  const std::vector<int64_t> sweep_sizes =
+      smoke ? std::vector<int64_t>{2000, 4000}
+            : std::vector<int64_t>{10000, 40000};
+  const int sweep_ops = smoke ? 60 : 400;
+  const int sweep_repeats = smoke ? 1 : 3;
+  sweep_opts.num_rows = sweep_test_rows + sweep_sizes.back() + sweep_ops;
+  sweep_opts.seed = 5;
+  auto sweep_bundle = synth::MakePlantedBias(sweep_opts);
+  FUME_ABORT_NOT_OK(sweep_bundle.status());
+  std::vector<int64_t> test_rows, train_rows;
+  for (int64_t r = 0; r < sweep_bundle->data.num_rows(); ++r) {
+    (r < sweep_test_rows ? test_rows : train_rows).push_back(r);
+  }
+  const Dataset sweep_test = sweep_bundle->data.Select(test_rows);
+  const Dataset sweep_train = sweep_bundle->data.Select(train_rows);
+  stream::StreamEngineConfig sweep_config = config;
+  sweep_config.drift.abs_threshold = std::numeric_limits<double>::infinity();
+  sweep_config.drift.rel_threshold = std::numeric_limits<double>::infinity();
+  sweep_config.search_on_checkpoint = false;
+  sweep_config.fume.min_original_bias =
+      std::numeric_limits<double>::infinity();
+  std::vector<SweepCell> sweep;
+  TablePrinter sweep_table(
+      {"Train rows", "Ops", "us/op min", "us/op median", "us/op max"});
+  for (const int64_t rows : sweep_sizes) {
+    sweep.push_back(RunSweepCell(sweep_train, sweep_test, rows, sweep_ops,
+                                 sweep_repeats, sweep_config));
+    const SweepCell& cell = sweep.back();
+    sweep_table.AddRow(
+        {std::to_string(rows), std::to_string(cell.ops),
+         FormatDouble(MicrosPerOp(cell, cell.seconds.front()), 1),
+         FormatDouble(MicrosPerOp(cell, cell.seconds[cell.seconds.size() / 2]),
+                      1),
+         FormatDouble(MicrosPerOp(cell, cell.seconds.back()), 1)});
+  }
+  std::cout << "\nN-sweep: engine time per single-row op, " << sweep_test_rows
+            << " test rows\n";
+  sweep_table.Print(std::cout);
+  const auto median_us = [](const SweepCell& cell) {
+    return MicrosPerOp(cell, cell.seconds[cell.seconds.size() / 2]);
+  };
+  const double sweep_ratio =
+      median_us(sweep.back()) / median_us(sweep.front());
+  std::cout << "median per-op cost at " << sweep_sizes.back() << " rows / at "
+            << sweep_sizes.front() << " rows: " << FormatDouble(sweep_ratio, 2)
+            << "x\n";
+
   const bool finite = std::isfinite(speedup) && engine_total > 0.0 &&
-                      cold_total > 0.0;
+                      cold_total > 0.0 && std::isfinite(sweep_ratio);
   std::ofstream json("bench_artifacts/BENCH_incremental.json");
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"stream_throughput\",\n"
          << "  \"substrate\": \"planted-bias (" << opts.num_rows
          << " rows)\",\n"
+         << "  \"machine\": " << MachineFingerprintJson() << ",\n"
          << "  \"data_ops\": " << data_ops << ",\n"
          << "  \"timings_finite\": " << (finite ? "true" : "false") << ",\n"
          << "  \"speedup_vs_cold\": " << speedup << ",\n"
+         << "  \"n_sweep_test_rows\": " << sweep_test_rows << ",\n"
+         << "  \"n_sweep_cost_ratio\": " << sweep_ratio << ",\n"
          << "  \"cells\": [\n"
          << "    {\"mode\": \"incremental\", \"ops\": " << data_ops
          << ", \"seconds\": " << engine_total << ", \"ops_per_sec\": "
          << (engine_total > 0.0 ? data_ops / engine_total : 0.0) << "},\n"
          << "    {\"mode\": \"cold-retrain\", \"ops\": " << data_ops
          << ", \"seconds\": " << cold_total << ", \"ops_per_sec\": "
-         << (cold_total > 0.0 ? data_ops / cold_total : 0.0) << "}\n"
-         << "  ]\n}\n";
+         << (cold_total > 0.0 ? data_ops / cold_total : 0.0) << "}";
+    for (const SweepCell& cell : sweep) {
+      const double median = cell.seconds[cell.seconds.size() / 2];
+      json << ",\n    {\"mode\": \"engine-single-row\", \"rows\": "
+           << cell.rows << ", \"ops\": " << cell.ops
+           << ", \"repeats\": " << cell.seconds.size()
+           << ", \"seconds\": " << median
+           << ", \"seconds_min\": " << cell.seconds.front()
+           << ", \"seconds_max\": " << cell.seconds.back()
+           << ", \"us_per_op\": " << MicrosPerOp(cell, median)
+           << ", \"ops_per_sec\": " << (median > 0.0 ? cell.ops / median : 0.0)
+           << "}";
+    }
+    json << "\n  ]\n}\n";
     std::cout << "wrote bench_artifacts/BENCH_incremental.json\n";
   } else {
     std::cout << "could not write bench_artifacts/BENCH_incremental.json\n";

@@ -23,7 +23,7 @@ Dataset& Dataset::operator=(const Dataset& other) {
   schema_ = other.schema_;
   columns_ = other.columns_;
   labels_ = other.labels_;
-  packed_.store(nullptr);
+  ResetPacked();
   return *this;
 }
 
@@ -37,20 +37,22 @@ Dataset& Dataset::operator=(Dataset&& other) noexcept {
   schema_ = std::move(other.schema_);
   columns_ = std::move(other.columns_);
   labels_ = std::move(other.labels_);
-  packed_.store(nullptr);
+  ResetPacked();
   return *this;
 }
 
+void Dataset::ResetPacked() {
+  std::lock_guard<std::mutex> lock(packed_mu_);
+  packed_.reset();
+}
+
 std::shared_ptr<const PackedCodes> Dataset::packed_codes() const {
-  std::shared_ptr<const PackedCodes> cur = packed_.load();
-  if (cur != nullptr) return cur;
-  FUME_CHECK(schema_.AllCategorical());
   // Builds are rare (once per dataset per process, plus once per append
-  // burst), so one process-wide mutex is plenty; readers never take it.
-  static std::mutex build_mu;
-  std::lock_guard<std::mutex> lock(build_mu);
-  cur = packed_.load();
-  if (cur != nullptr) return cur;
+  // burst) and short, so concurrent first calls simply wait for the one
+  // build instead of racing to repeat it.
+  std::lock_guard<std::mutex> lock(packed_mu_);
+  if (packed_ != nullptr) return packed_;
+  FUME_CHECK(schema_.AllCategorical());
   auto packed = std::make_shared<PackedCodes>();
   const int p = schema_.num_attributes();
   const int64_t n = num_rows();
@@ -64,8 +66,8 @@ std::shared_ptr<const PackedCodes> Dataset::packed_codes() const {
           col[static_cast<size_t>(r)];
     }
   }
-  packed_.store(packed);
-  return packed;
+  packed_ = packed;
+  return packed_;
 }
 
 Status Dataset::AppendRow(const std::vector<int32_t>& codes, int label) {
@@ -109,7 +111,7 @@ Status Dataset::AppendRowMixed(const std::vector<int32_t>& codes,
     }
   }
   labels_.push_back(static_cast<uint8_t>(label));
-  packed_.store(nullptr);  // the packed snapshot no longer covers all rows
+  ResetPacked();  // the packed snapshot no longer covers all rows
   return Status::OK();
 }
 

@@ -5,9 +5,9 @@
 #ifndef FUME_DATA_DATASET_H_
 #define FUME_DATA_DATASET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -126,8 +126,11 @@ class Dataset {
   std::vector<ColumnData> columns_;
   std::vector<uint8_t> labels_;
   /// Lazily built packed view; null until the first packed_codes() call
-  /// and reset to null by AppendRow/AppendRowMixed.
-  mutable std::atomic<std::shared_ptr<const PackedCodes>> packed_{nullptr};
+  /// and reset to null by AppendRow/AppendRowMixed. `packed_mu_` guards the
+  /// pointer (readers hold it for one shared_ptr copy) and a build.
+  mutable std::mutex packed_mu_;
+  mutable std::shared_ptr<const PackedCodes> packed_;
+  void ResetPacked();
 };
 
 }  // namespace fume

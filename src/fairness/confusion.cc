@@ -23,16 +23,22 @@ void Confusion::Add(int label, int prediction) {
   }
 }
 
+void Confusion::Remove(int label, int prediction) {
+  if (label == 1) {
+    prediction == 1 ? --tp : --fn;
+  } else {
+    prediction == 1 ? --fp : --tn;
+  }
+}
+
 GroupConfusion ComputeGroupConfusion(const Dataset& data,
                                      const std::vector<int>& predictions,
                                      const GroupSpec& group) {
   FUME_CHECK_EQ(static_cast<int64_t>(predictions.size()), data.num_rows());
   GroupConfusion out;
   for (int64_t r = 0; r < data.num_rows(); ++r) {
-    Confusion& c = data.Code(r, group.sensitive_attr) == group.privileged_code
-                       ? out.privileged
-                       : out.unprivileged;
-    c.Add(data.Label(r), predictions[static_cast<size_t>(r)]);
+    out.Of(data, r, group).Add(data.Label(r),
+                               predictions[static_cast<size_t>(r)]);
   }
   return out;
 }

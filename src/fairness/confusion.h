@@ -39,12 +39,21 @@ struct Confusion {
   double Ppv() const;
 
   void Add(int label, int prediction);
+  /// Undoes Add(label, prediction).
+  void Remove(int label, int prediction);
 };
 
 /// Confusions of the privileged and protected groups.
 struct GroupConfusion {
   Confusion privileged;
   Confusion unprivileged;
+
+  /// The group row `r` of `data` belongs to.
+  Confusion& Of(const Dataset& data, int64_t r, const GroupSpec& group) {
+    return data.Code(r, group.sensitive_attr) == group.privileged_code
+               ? privileged
+               : unprivileged;
+  }
 };
 
 /// Tallies group confusions of predictions against `data`'s labels.

@@ -54,6 +54,7 @@ int32_t TreeArena::AddSlot() {
   child_.push_back(id);
   prob_.push_back(0.5);
   node_.push_back(nullptr);
+  rank_.push_back(0);
   return id;
 }
 
@@ -63,6 +64,8 @@ void TreeArena::CompileNode(const TreeNode* n, int32_t slot, int depth) {
     // AddSlot already parked the slot on itself (child == self, threshold
     // INT32_MAX); only the payload needs filling.
     prob_[static_cast<size_t>(slot)] = LeafProb(n);
+    rank_[static_cast<size_t>(slot)] = static_cast<int32_t>(leaves_.size());
+    leaves_.push_back(slot);
     if (depth > depth_) depth_ = depth;
     return;
   }
@@ -90,6 +93,8 @@ std::shared_ptr<const TreeArena> TreeArena::Compile(const TreeNode* root,
     arena->child_.reserve(hint);
     arena->prob_.reserve(hint);
     arena->node_.reserve(hint);
+    arena->rank_.reserve(hint);
+    arena->leaves_.reserve(hint / 2 + 1);
   }
   const int32_t root_slot = arena->AddSlot();
   if (root == nullptr || root->count == 0) {
@@ -97,6 +102,7 @@ std::shared_ptr<const TreeArena> TreeArena::Compile(const TreeNode* root,
     // a one-slot self-parked leaf reproduces that (node_ keeps the root
     // pointer so cached-leaf identity matches the pointer walk).
     arena->node_[0] = root;
+    arena->leaves_.push_back(root_slot);
   } else {
     arena->CompileNode(root, root_slot, 0);
   }
@@ -105,7 +111,9 @@ std::shared_ptr<const TreeArena> TreeArena::Compile(const TreeNode* root,
       arena->threshold_.capacity() * sizeof(int32_t) +
       arena->child_.capacity() * sizeof(int32_t) +
       arena->prob_.capacity() * sizeof(double) +
-      arena->node_.capacity() * sizeof(const TreeNode*) + sizeof(TreeArena));
+      arena->node_.capacity() * sizeof(const TreeNode*) +
+      arena->rank_.capacity() * sizeof(int32_t) +
+      arena->leaves_.capacity() * sizeof(int32_t) + sizeof(TreeArena));
   AddLiveBytes(arena->bytes_);
   return arena;
 }
@@ -158,14 +166,11 @@ void TreeArena::PredictProbs(const int32_t* codes, int num_attrs,
        [&](int64_t row, int32_t leaf) { out[row] = prob[leaf]; });
 }
 
-void TreeArena::WalkLeaves(const int32_t* codes, int num_attrs, int64_t n_rows,
-                           const TreeNode** leaves, double* probs) const {
-  const double* const prob = prob_.data();
-  const TreeNode* const* const node = node_.data();
-  Walk(codes, num_attrs, n_rows, [&](int64_t row, int32_t leaf) {
-    leaves[row] = node[leaf];
-    probs[row] = prob[leaf];
-  });
+void TreeArena::WalkLeafRanks(const int32_t* codes, int num_attrs,
+                              int64_t n_rows, int32_t* ranks) const {
+  const int32_t* const rank = rank_.data();
+  Walk(codes, num_attrs, n_rows,
+       [&](int64_t row, int32_t leaf) { ranks[row] = rank[leaf]; });
 }
 
 }  // namespace fume

@@ -13,6 +13,12 @@
 //                  parks leaves in place because code > INT32_MAX is false.
 //   prob_[i]       leaf positive fraction     (unused for internal nodes)
 //   node_[i]       source TreeNode*           (prediction-cache leaf identity)
+//   rank_[i]       leaf's depth-first rank    (unused for internal nodes)
+//
+// Leaves are also numbered 0..num_leaves()-1 in depth-first, left-before-
+// right order (leaves_[rank] is the slot). Grouping rows by that rank lays
+// every node's rows out as one contiguous run — the layout the prediction
+// cache keeps per tree.
 //
 // An arena is an immutable value: mutation goes through the CoW pointer
 // graph, which bumps the owning tree's generation stamp; DareTree::arena()
@@ -58,11 +64,20 @@ class TreeArena {
   void PredictProbs(const int32_t* codes, int num_attrs, int64_t n_rows,
                     double* out) const;
 
-  /// leaves[r] = the source TreeNode each row lands in (nullptr for a
-  /// null-root sentinel), probs[r] = its positive fraction — exactly what
-  /// TestPredictionCache's pointer walk stores per row.
-  void WalkLeaves(const int32_t* codes, int num_attrs, int64_t n_rows,
-                  const TreeNode** leaves, double* probs) const;
+  /// ranks[r] = depth-first rank of the leaf row r lands in.
+  void WalkLeafRanks(const int32_t* codes, int num_attrs, int64_t n_rows,
+                     int32_t* ranks) const;
+
+  int32_t num_leaves() const { return static_cast<int32_t>(leaves_.size()); }
+  /// Source TreeNode of the leaf of depth-first rank `rank` (nullptr for a
+  /// null-root sentinel; an emptied root for the count-0 sentinel).
+  const TreeNode* leaf_node(int32_t rank) const {
+    return node_[static_cast<size_t>(leaves_[static_cast<size_t>(rank)])];
+  }
+  /// That leaf's positive fraction, as PredictProb computes it.
+  double leaf_prob(int32_t rank) const {
+    return prob_[static_cast<size_t>(leaves_[static_cast<size_t>(rank)])];
+  }
 
   uint64_t generation() const { return generation_; }
   /// Root of the node graph this arena was compiled from (debug identity).
@@ -85,6 +100,8 @@ class TreeArena {
   std::vector<int32_t> child_;
   std::vector<double> prob_;
   std::vector<const TreeNode*> node_;
+  std::vector<int32_t> rank_;
+  std::vector<int32_t> leaves_;
   int depth_ = 0;
   uint64_t generation_ = 0;
   const TreeNode* source_root_ = nullptr;

@@ -1,103 +1,155 @@
 #include "forest/prediction_cache.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 
+#include "forest/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
 namespace fume {
 
-void TestPredictionCache::WalkTree(const DareForest& forest,
-                                   const Dataset& test, int t) {
-  const int64_t n_rows = test.num_rows();
-  auto& leaves = leaf_[static_cast<size_t>(t)];
-  auto& probs = prob_[static_cast<size_t>(t)];
-  leaves.resize(static_cast<size_t>(n_rows));
-  probs.resize(static_cast<size_t>(n_rows));
-  if (forest.config().arena_traversal) {
-    // Arena walk: same leaf TreeNode* per row as the pointer loop below
-    // (the stream engine's resume contract keys on those addresses), same
-    // probability bytes.
-    if (const std::shared_ptr<const TreeArena> arena = forest.tree(t).arena()) {
-      const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
-      arena->WalkLeaves(packed->codes.data(), packed->num_attrs, n_rows,
-                        leaves.data(), probs.data());
-#ifdef FUME_ARENA_VERIFY
-      std::vector<const TreeNode*> ref_leaves = leaves;
-      std::vector<double> ref_probs = probs;
-      WalkTreePointer(forest, test, t, ref_leaves.data(), ref_probs.data());
-      FUME_CHECK(leaves == ref_leaves);
-      FUME_CHECK(probs == ref_probs);
-#endif
-      return;
-    }
-  }
-  WalkTreePointer(forest, test, t, leaves.data(), probs.data());
+namespace {
+
+/// A leaf's positive fraction as PredictProb reads it: 0.5 for a null or
+/// emptied node.
+double LeafProb(const TreeNode* n) {
+  return n == nullptr || n->count == 0
+             ? 0.5
+             : static_cast<double>(n->pos) / static_cast<double>(n->count);
 }
 
-void TestPredictionCache::WalkTreePointer(const DareForest& forest,
-                                          const Dataset& test, int t,
-                                          const TreeNode** leaves,
-                                          double* probs) const {
-  const int64_t n_rows = test.num_rows();
-  const TreeNode* root = forest.tree(t).root();
-  for (int64_t r = 0; r < n_rows; ++r) {
-    const TreeNode* n = root;
-    if (n != nullptr && n->count != 0) {
-      while (!n->is_leaf()) {
-        n = test.Code(r, n->attr) <= n->threshold ? n->left.get()
-                                                  : n->right.get();
+/// Partitions rows[begin, end) — the test rows reaching `node` — into the
+/// depth-first order of the leaves they reach, appending one range per
+/// leaf that receives rows.
+template <typename Range>
+void PartitionByLeaf(const TreeNode* node, const PackedCodes& codes,
+                     int32_t* rows, int32_t begin, int32_t end,
+                     std::vector<Range>* out) {
+  while (!node->is_leaf()) {
+    const int32_t mid = static_cast<int32_t>(
+        std::partition(rows + begin, rows + end,
+                       [&](int32_t r) {
+                         return codes.row(r)[node->attr] <= node->threshold;
+                       }) -
+        rows);
+    if (mid != begin) {
+      PartitionByLeaf(node->left.get(), codes, rows, begin, mid, out);
+    }
+    if (mid == end) return;
+    node = node->right.get();
+    begin = mid;
+  }
+  out->push_back(Range{node, begin, end, LeafProb(node)});
+}
+
+}  // namespace
+
+void TestPredictionCache::WalkTree(const DareForest& forest,
+                                   const PackedCodes& codes, int t) {
+  const std::shared_ptr<const TreeArena> arena = forest.tree(t).arena();
+  FUME_CHECK(arena != nullptr);
+  const size_t tree = static_cast<size_t>(t);
+  const int32_t n_rows = static_cast<int32_t>(mean_prob_.size());
+  ranks_.resize(static_cast<size_t>(n_rows));
+  arena->WalkLeafRanks(codes.codes.data(), codes.num_attrs, n_rows,
+                       ranks_.data());
+  // Counting sort on the leaf rank: O(rows + leaves), stable, and the
+  // ranks are already in depth-first order.
+  const int32_t num_leaves = arena->num_leaves();
+  rank_start_.assign(static_cast<size_t>(num_leaves) + 1, 0);
+  for (const int32_t k : ranks_) ++rank_start_[static_cast<size_t>(k) + 1];
+  for (int32_t k = 0; k < num_leaves; ++k) {
+    rank_start_[static_cast<size_t>(k) + 1] +=
+        rank_start_[static_cast<size_t>(k)];
+  }
+  std::vector<LeafRange>& ranges = ranges_[tree];
+  ranges.clear();
+  for (int32_t k = 0; k < num_leaves; ++k) {
+    const int32_t begin = rank_start_[static_cast<size_t>(k)];
+    const int32_t end = rank_start_[static_cast<size_t>(k) + 1];
+    if (begin != end) {
+      ranges.push_back(
+          LeafRange{arena->leaf_node(k), begin, end, arena->leaf_prob(k)});
+    }
+  }
+  std::vector<int32_t>& order = order_[tree];
+  order.resize(static_cast<size_t>(n_rows));
+  for (int32_t r = 0; r < n_rows; ++r) {
+    const int32_t k = ranks_[static_cast<size_t>(r)];
+    order[static_cast<size_t>(rank_start_[static_cast<size_t>(k)]++)] = r;
+    SetProb(r, tree, arena->leaf_prob(k));
+  }
+}
+
+void TestPredictionCache::RefreshTree(const PackedCodes& codes, int t) {
+  const size_t tree = static_cast<size_t>(t);
+  std::vector<LeafRange>& ranges = ranges_[tree];
+  const int32_t* order = order_[tree].data();
+  bool grown = false;
+  for (LeafRange& range : ranges) {
+    const TreeNode* n = range.leaf;
+    if (n != nullptr && n->count != 0 && !n->is_leaf()) {
+      grown = true;  // re-partitioned below
+      continue;
+    }
+    const double p = LeafProb(n);
+    if (p == range.prob) continue;
+    range.prob = p;
+    for (int32_t i = range.begin; i < range.end; ++i) {
+      SetProb(order[i], tree, p);
+    }
+  }
+  if (!grown) return;
+  // An insert rebuilt a leaf into a split in place (same address, fresh
+  // children): its rows still reach it, so only its range is re-partitioned
+  // over the new subtree — which keeps the depth-first layout.
+  regrouped_.clear();
+  for (const LeafRange& range : ranges) {
+    const TreeNode* n = range.leaf;
+    if (n == nullptr || n->count == 0 || n->is_leaf()) {
+      regrouped_.push_back(range);
+      continue;
+    }
+    const size_t first = regrouped_.size();
+    PartitionByLeaf(n, codes, order_[tree].data(), range.begin, range.end,
+                    &regrouped_);
+    for (size_t g = first; g < regrouped_.size(); ++g) {
+      for (int32_t i = regrouped_[g].begin; i < regrouped_[g].end; ++i) {
+        SetProb(order[i], tree, regrouped_[g].prob);
       }
     }
-    leaves[static_cast<size_t>(r)] = n;
-    probs[static_cast<size_t>(r)] =
-        (n == nullptr || n->count == 0)
-            ? 0.5
-            : static_cast<double>(n->pos) / static_cast<double>(n->count);
   }
+  ranges.swap(regrouped_);
 }
 
-void TestPredictionCache::ResumeTree(const Dataset& test, int t) {
-  auto& leaves = leaf_[static_cast<size_t>(t)];
-  auto& probs = prob_[static_cast<size_t>(t)];
-  for (size_t r = 0; r < leaves.size(); ++r) {
-    const TreeNode* n = leaves[r];
-    if (n != nullptr && n->count != 0 && !n->is_leaf()) {
-      // An insert rebuilt this leaf into a split in place (same address);
-      // the row still reaches it, so finish the walk from here.
-      do {
-        n = test.Code(static_cast<int64_t>(r), n->attr) <= n->threshold
-                ? n->left.get()
-                : n->right.get();
-      } while (!n->is_leaf());
-      leaves[r] = n;
+void TestPredictionCache::ResumTouched() {
+  // PredictProb's arithmetic — per-row tree probabilities summed in tree
+  // order, one division — so the bytes match PredictProbAll.
+  const size_t num_trees = ranges_.size();
+  const double tree_count = static_cast<double>(num_trees);
+  for (const int32_t r : touched_) {
+    const size_t row = static_cast<size_t>(r);
+    const double* probs = row_prob_.data() + row * num_trees;
+    double sum = 0.0;
+    for (size_t t = 0; t < num_trees; ++t) sum += probs[t];
+    mean_prob_[row] = sum / tree_count;
+    const int pred = mean_prob_[row] >= 0.5 ? 1 : 0;
+    if (pred != pred_[row]) {
+      pred_[row] = pred;
+      flipped_.push_back(r);
     }
-    probs[r] = (n == nullptr || n->count == 0)
-                   ? 0.5
-                   : static_cast<double>(n->pos) /
-                         static_cast<double>(n->count);
+    is_touched_[row] = 0;
   }
+  touched_.clear();
 }
 
-void TestPredictionCache::Finalize(const DareForest& forest) {
-  // Every Rebuild/Update ends here: the tree structure the what-if index
-  // describes may have changed, so drop it and remember which forest
-  // state this cache now reflects.
-  index_.Reset();
+void TestPredictionCache::Stamp(const DareForest& forest) {
   generation_.resize(static_cast<size_t>(forest.num_trees()));
   for (int t = 0; t < forest.num_trees(); ++t) {
     generation_[static_cast<size_t>(t)] = forest.tree(t).generation();
-  }
-  const size_t n_rows = pred_.size();
-  const double num_trees = static_cast<double>(forest.num_trees());
-  for (size_t r = 0; r < n_rows; ++r) {
-    double sum = 0.0;
-    for (int t = 0; t < forest.num_trees(); ++t) {
-      sum += prob_[static_cast<size_t>(t)][r];
-    }
-    mean_prob_[r] = sum / num_trees;
-    pred_[r] = mean_prob_[r] >= 0.5 ? 1 : 0;
   }
 }
 
@@ -106,44 +158,67 @@ void TestPredictionCache::Rebuild(const DareForest& forest,
   obs::TraceSpan span("stream.predcache.rebuild",
                       {{"trees", forest.num_trees()},
                        {"rows", test.num_rows()}});
+  FUME_CHECK_LE(test.num_rows(),
+                static_cast<int64_t>(std::numeric_limits<int32_t>::max()));
   // The cache stores leaf pointers — they must come from a flushed graph.
   forest.EnsureFlushed();
-  leaf_.assign(static_cast<size_t>(forest.num_trees()), {});
-  prob_.assign(static_cast<size_t>(forest.num_trees()), {});
-  mean_prob_.assign(static_cast<size_t>(test.num_rows()), 0.0);
-  pred_.assign(static_cast<size_t>(test.num_rows()), 0);
-  for (int t = 0; t < forest.num_trees(); ++t) WalkTree(forest, test, t);
-  Finalize(forest);
+  const size_t num_trees = static_cast<size_t>(forest.num_trees());
+  const size_t n_rows = static_cast<size_t>(test.num_rows());
+  order_.assign(num_trees, {});
+  ranges_.assign(num_trees, {});
+  row_prob_.assign(n_rows * num_trees, 0.0);
+  mean_prob_.assign(n_rows, 0.0);
+  pred_.assign(n_rows, 0);
+  // Every row is re-summed: queue them all up front.
+  is_touched_.assign(n_rows, 1);
+  touched_.resize(n_rows);
+  for (size_t r = 0; r < n_rows; ++r) touched_[r] = static_cast<int32_t>(r);
+  const std::shared_ptr<const PackedCodes> codes = test.packed_codes();
+  for (int t = 0; t < forest.num_trees(); ++t) WalkTree(forest, *codes, t);
+  ResumTouched();
+  flipped_.clear();
+  Stamp(forest);
+#ifdef FUME_ARENA_VERIFY
+  FUME_CHECK(mean_prob_ == forest.PredictProbAllPointer(test));
+#endif
 }
 
 void TestPredictionCache::Update(const DareForest& forest, const Dataset& test,
                                  const std::vector<bool>& tree_dirty) {
-  FUME_CHECK_EQ(tree_dirty.size(), leaf_.size());
-  FUME_CHECK_EQ(static_cast<size_t>(forest.num_trees()), leaf_.size());
+  FUME_CHECK_EQ(tree_dirty.size(), ranges_.size());
+  FUME_CHECK_EQ(static_cast<size_t>(forest.num_trees()), ranges_.size());
+  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), mean_prob_.size());
   static obs::Counter* rewalked =
       obs::GetCounter("stream.predcache.trees_rewalked");
   static obs::Counter* resumed =
       obs::GetCounter("stream.predcache.trees_refreshed");
   obs::TraceSpan span("stream.predcache.update");
   // Flushing here would be unsound, not just unexpected: a flush retrain
-  // frees nodes in trees the caller's dirty flags call clean, and ResumeTree
-  // would then chase freed leaf pointers. Callers must flush first and fold
-  // the flush retrains into tree_dirty (DareForest::FlushAll's per_tree
-  // report), as StreamEngine does.
+  // frees nodes in trees the caller's dirty flags call clean, and
+  // RefreshTree would then chase freed leaf pointers. Callers must flush
+  // first and fold the flush retrains into tree_dirty (DareForest::
+  // FlushAll's per_tree report), as StreamEngine does.
   FUME_CHECK(!forest.HasLazyTags());
+  const std::shared_ptr<const PackedCodes> codes = test.packed_codes();
+  flipped_.clear();
   int64_t walked = 0;
   for (int t = 0; t < forest.num_trees(); ++t) {
     if (tree_dirty[static_cast<size_t>(t)]) {
-      WalkTree(forest, test, t);
+      WalkTree(forest, *codes, t);
       ++walked;
     } else {
-      ResumeTree(test, t);
+      RefreshTree(*codes, t);
     }
   }
   rewalked->Inc(walked);
   resumed->Inc(forest.num_trees() - walked);
   span.AddArg("rewalked", walked);
-  Finalize(forest);
+  span.AddArg("rows", static_cast<int64_t>(touched_.size()));
+  ResumTouched();
+  Stamp(forest);
+#ifdef FUME_ARENA_VERIFY
+  FUME_CHECK(mean_prob_ == forest.PredictProbAllPointer(test));
+#endif
 }
 
 void TestPredictionCache::DiffWalk(const TreeNode* base,
@@ -199,7 +274,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
                                       const DareForest& what_if,
                                       const Dataset& test, WhatIfScratch* s,
                                       bool arena_full_rescore) const {
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = ranges_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   FUME_CHECK_EQ(static_cast<size_t>(what_if.num_trees()), num_trees);
   // The base graph this cache was walked against is flushed by contract;
@@ -250,7 +325,10 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
     }
     // Seed with the base probabilities so rows pruned at a shared subtree
     // keep their cached value; DiffWalk overwrites only rescored rows.
-    s->tree_prob[t] = prob_[t];
+    s->tree_prob[t].resize(n_rows);
+    for (size_t r = 0; r < n_rows; ++r) {
+      s->tree_prob[t][r] = row_prob_[r * num_trees + t];
+    }
     s->order.resize(n_rows);
     for (size_t i = 0; i < n_rows; ++i) {
       s->order[i] = static_cast<int64_t>(i);
@@ -259,7 +337,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   }
 
   // Re-sum each rescored row over every tree in tree order — the same
-  // order and arithmetic as Finalize/PredictProb, so the result is
+  // order and arithmetic as ResumTouched/PredictProb, so the result is
   // byte-identical to what_if.PredictAll(test). A full arena rescore
   // invalidates every row's sum, not just the diff-walk's touched list.
   s->preds = pred_;
@@ -269,7 +347,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
     for (size_t t = 0; t < num_trees; ++t) {
       sum += s->tree_epoch[t] == s->epoch
                  ? s->tree_prob[t][static_cast<size_t>(r)]
-                 : prob_[t][static_cast<size_t>(r)];
+                 : row_prob_[static_cast<size_t>(r) * num_trees + t];
     }
     s->preds[static_cast<size_t>(r)] = sum / tree_count >= 0.5 ? 1 : 0;
   };
@@ -285,41 +363,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
 #endif
 }
 
-TestPredictionCache::IndexSlot& TestPredictionCache::IndexSlot::operator=(
-    const IndexSlot& other) {
-  if (this == &other) return *this;
-  std::shared_ptr<const WhatIfIndex> index = other.Get();
-  std::lock_guard<std::mutex> lock(mu_);
-  index_ = std::move(index);
-  return *this;
-}
-
-std::shared_ptr<const TestPredictionCache::WhatIfIndex>
-TestPredictionCache::IndexSlot::Get() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_;
-}
-
-void TestPredictionCache::IndexSlot::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  index_.reset();
-}
-
 namespace {
-
-/// Reorders [begin, end) — the test rows reaching `node` — into the DFS
-/// order of the leaves they reach, the same descent as WalkTreePointer.
-void OrderByLeaf(const TreeNode* node, const PackedCodes& codes,
-                 int32_t* begin, int32_t* end) {
-  while (begin != end && !node->is_leaf()) {
-    int32_t* mid = std::partition(begin, end, [&](int32_t r) {
-      return codes.row(r)[node->attr] <= node->threshold;
-    });
-    OrderByLeaf(node->left.get(), codes, begin, mid);
-    node = node->right.get();
-    begin = mid;
-  }
-}
 
 /// Writes ScoreWithout's per-tree leaf probabilities into the row-major
 /// what-if matrix, seeding a row from the base probabilities the first
@@ -363,41 +407,11 @@ class RowProbSink final : public WhatIfSink {
 
 }  // namespace
 
-std::shared_ptr<const TestPredictionCache::WhatIfIndex>
-TestPredictionCache::BuildIndex(const DareForest& base,
-                                const Dataset& test) const {
-  obs::TraceSpan span("forest.score_without.index",
-                      {{"trees", base.num_trees()},
-                       {"rows", test.num_rows()}});
-  auto index = std::make_shared<WhatIfIndex>();
-  index->codes = test.packed_codes();
-  const size_t num_trees = leaf_.size();
-  const size_t n_rows = mean_prob_.size();
-  index->order.resize(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    std::vector<int32_t>& order = index->order[t];
-    order.resize(n_rows);
-    for (size_t r = 0; r < n_rows; ++r) order[r] = static_cast<int32_t>(r);
-    const TreeNode* root = base.tree(static_cast<int>(t)).root();
-    if (root != nullptr && root->count != 0) {
-      OrderByLeaf(root, *index->codes, order.data(),
-                  order.data() + order.size());
-    }
-  }
-  index->base_probs.resize(n_rows * num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    for (size_t r = 0; r < n_rows; ++r) {
-      index->base_probs[r * num_trees + t] = prob_[t][r];
-    }
-  }
-  return index;
-}
-
 Status TestPredictionCache::ScoreWithout(const DareForest& base,
                                          const std::vector<RowId>& rows,
                                          const Dataset& test,
                                          ScoreScratch* s) const {
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = ranges_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
     FUME_CHECK_EQ(base.tree(static_cast<int>(t)).generation(),
@@ -431,8 +445,7 @@ Status TestPredictionCache::ScoreWithout(const DareForest& base,
   }
   FUME_RETURN_NOT_OK(s->tree.LoadDoomed(base.store(), rows));
 
-  const std::shared_ptr<const WhatIfIndex> index =
-      index_.GetOrBuild([&] { return BuildIndex(base, test); });
+  const std::shared_ptr<const PackedCodes> codes = test.packed_codes();
   if (++s->epoch == 0) {  // wrapped: clear the stamps for real
     s->row_epoch.assign(s->row_epoch.size(), 0);
     s->epoch = 1;
@@ -441,19 +454,20 @@ Status TestPredictionCache::ScoreWithout(const DareForest& base,
   s->row_probs.resize(n_rows * num_trees);
   s->touched.clear();
   WhatIfTestRows view;
-  view.codes = index->codes->codes.data();
-  view.num_attrs = index->codes->num_attrs;
+  view.codes = codes->codes.data();
+  view.num_attrs = codes->num_attrs;
   view.num_rows = static_cast<int64_t>(n_rows);
   for (size_t t = 0; t < num_trees; ++t) {
-    view.order = index->order[t].data();
-    RowProbSink sink(t, num_trees, index->base_probs.data(),
-                     s->row_probs.data(), s->row_epoch.data(), s->epoch,
-                     &s->touched);
+    // The cache's leaf-grouped rows are the per-tree what-if index: every
+    // base node owns one contiguous range of them.
+    view.order = order_[t].data();
+    RowProbSink sink(t, num_trees, row_prob_.data(), s->row_probs.data(),
+                     s->row_epoch.data(), s->epoch, &s->touched);
     base.tree(static_cast<int>(t))
         .ScoreWithout(rows, view, &sink, &s->tree, &s->stats);
   }
 
-  // Re-sum each touched row over every tree in tree order — Finalize's
+  // Re-sum each touched row over every tree in tree order — ResumTouched's
   // arithmetic, so the result is byte-identical to PredictAll.
   const double tree_count = static_cast<double>(num_trees);
   for (const int32_t r : s->touched) {

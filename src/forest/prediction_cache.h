@@ -1,24 +1,31 @@
 // Per-tree test-set prediction cache.
 //
+// For every tree the cache keeps the test rows grouped by the leaf they
+// reach: one contiguous range per leaf, ranges in depth-first leaf order,
+// so every node of the tree owns one contiguous run of rows. Each range
+// remembers its leaf's TreeNode* and the probability last read from it.
+//
 // A DaRE op (add/delete) leaves most trees structurally intact: existing
 // nodes keep their addresses and their split decisions; the only events
 // that free nodes are counted subtree retrains (DeletionStats::
-// subtrees_retrained — a split decision flipped and `*node =
-// std::move(*rebuilt)` replaced the subtree, dangling its descendants).
-// This cache exploits that: it remembers, per tree, the node each test row
-// lands in. After an op it re-walks a tree from the root only if that tree
-// retrained a subtree; otherwise it *resumes* each row's descent from the
-// cached node — a no-op when the node is still a leaf (deletion never
-// grows leaves), and a short walk into the grown subtree when an insert
-// rebuilt the leaf into a split in place (same address, fresh children).
+// subtrees_retrained) and CoW unshares (nodes_copied). Update() therefore
+// re-walks only trees the caller marks dirty — an arena walk regrouped by a
+// counting sort on the leaf's depth-first rank — and for every other tree
+// scans its ranges: a range whose leaf probability moved is rewritten, a
+// leaf an insert rebuilt into a split in place (same address, fresh
+// children) has just its range re-partitioned, and the rest cost one load.
+// The forest mean and hard prediction are then re-summed, in tree order,
+// for the rows whose probability changed — so an op's cost follows the
+// leaves it changed, not the test-set size.
 //
 // ScoreWithout() serves a second consumer: FUME's what-if evaluations. It
 // scores "base forest minus a row set" straight from the base forest —
 // no clone, no node copy, no arena — by walking each tree with the doomed
 // rows on scratch stats and re-scoring only the test rows that reach a
 // changed leaf or a flipped split (docs/performance.md "Read-only
-// what-if"). ScoreWhatIf() is the retired clone-diffing path, kept for the
-// end-to-end benchmark's replay.
+// what-if"); the leaf-grouped layout above is the index it needs.
+// ScoreWhatIf() is the retired clone-diffing path, kept for the end-to-end
+// benchmark's replay.
 //
 // Exactness: probabilities and hard predictions are byte-identical to
 // DareForest::PredictProbAll / PredictAll — per-row tree probabilities are
@@ -28,8 +35,6 @@
 #define FUME_FOREST_PREDICTION_CACHE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/dataset.h"
@@ -102,9 +107,10 @@ class TestPredictionCache {
   void Rebuild(const DareForest& forest, const Dataset& test);
 
   /// Incrementally refreshes after one forest op. `tree_dirty[t]` must be
-  /// true when tree t may have freed nodes during the op (any subtree
-  /// retrain) — those trees are re-walked from the root; the rest resume
-  /// from their cached nodes.
+  /// true when tree t may have freed or unshared nodes during the op (any
+  /// subtree retrain or CoW copy) — those trees are re-walked from the
+  /// root; the rest refresh from their cached leaf ranges. Afterwards
+  /// flipped() lists the rows whose hard prediction changed.
   void Update(const DareForest& forest, const Dataset& test,
               const std::vector<bool>& tree_dirty);
 
@@ -115,9 +121,8 @@ class TestPredictionCache {
   /// rebuilt or updated against (flushed, unmutated since — the contract
   /// Rebuild already has; the tree generation stamps are checked), `test`
   /// the same test set. Out-of-range or duplicate rows return the Status
-  /// DeleteRows would. The first call builds the what-if index (each
-  /// tree's test rows in base-leaf DFS order); Rebuild and Update never
-  /// do. Thread-safe for concurrent calls with distinct scratches.
+  /// DeleteRows would. Thread-safe for concurrent calls with distinct
+  /// scratches.
   Status ScoreWithout(const DareForest& base, const std::vector<RowId>& rows,
                       const Dataset& test, ScoreScratch* scratch) const;
 
@@ -146,66 +151,64 @@ class TestPredictionCache {
   const std::vector<double>& probs() const { return mean_prob_; }
   /// Hard predictions at the 0.5 threshold; byte-identical to PredictAll.
   const std::vector<int>& predictions() const { return pred_; }
+  /// Test rows whose hard prediction the last Update() flipped (each row
+  /// once, in no particular order); empty after Rebuild().
+  const std::vector<int32_t>& flipped() const { return flipped_; }
 
-  int num_trees() const { return static_cast<int>(leaf_.size()); }
+  int num_trees() const { return static_cast<int>(ranges_.size()); }
 
  private:
-  void WalkTree(const DareForest& forest, const Dataset& test, int t);
-  /// Reference root-to-leaf pointer descent into caller-provided arrays
-  /// (the pre-arena WalkTree body); also the FUME_ARENA_VERIFY oracle.
-  void WalkTreePointer(const DareForest& forest, const Dataset& test, int t,
-                       const TreeNode** leaves, double* probs) const;
-  void ResumeTree(const Dataset& test, int t);
-  void Finalize(const DareForest& forest);
+  /// order_[t][begin, end): the test rows reaching `leaf` in tree t, whose
+  /// positive fraction was `prob` when last read.
+  struct LeafRange {
+    const TreeNode* leaf;
+    int32_t begin;
+    int32_t end;
+    double prob;
+  };
+
+  /// Arena walk of tree t for every test row, regrouped by leaf.
+  void WalkTree(const DareForest& forest, const PackedCodes& codes, int t);
+  /// Re-reads tree t's cached leaves (a clean tree: no node freed).
+  void RefreshTree(const PackedCodes& codes, int t);
+  /// Sets row r's probability in tree t, queueing the row for a re-sum
+  /// when it changed.
+  void SetProb(int32_t r, size_t t, double p) {
+    double& cell = row_prob_[static_cast<size_t>(r) * ranges_.size() + t];
+    if (cell == p) return;
+    cell = p;
+    if (!is_touched_[static_cast<size_t>(r)]) {
+      is_touched_[static_cast<size_t>(r)] = 1;
+      touched_.push_back(r);
+    }
+  }
+  /// Re-sums every touched row in tree order, recording flips.
+  void ResumTouched();
+  /// Records the tree generations this cache now describes.
+  void Stamp(const DareForest& forest);
   void DiffWalk(const TreeNode* base, const TreeNode* changed,
                 const Dataset& test, int t, size_t begin, size_t end,
                 WhatIfScratch* scratch) const;
 
-  /// ScoreWithout's index, built from the base forest on first use.
-  struct WhatIfIndex {
-    /// order[t]: test rows in the DFS order of the base leaf they reach in
-    /// tree t, so each base node owns one contiguous range.
-    std::vector<std::vector<int32_t>> order;
-    /// base_probs[r * num_trees + t] == prob_[t][r] (row-major seed for
-    /// ScoreScratch::row_probs).
-    std::vector<double> base_probs;
-    std::shared_ptr<const PackedCodes> codes;
-  };
-  /// Holder for the lazily built index. Copies share the built index (it
-  /// is immutable and the copy's cache state is the same); Rebuild/Update
-  /// drop it.
-  class IndexSlot {
-   public:
-    IndexSlot() = default;
-    IndexSlot(const IndexSlot& other) : index_(other.Get()) {}
-    IndexSlot& operator=(const IndexSlot& other);
-    std::shared_ptr<const WhatIfIndex> Get() const;
-    /// Returns the index, building it with `build` if absent.
-    template <typename Build>
-    std::shared_ptr<const WhatIfIndex> GetOrBuild(Build&& build) const {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (index_ == nullptr) index_ = build();
-      return index_;
-    }
-    void Reset();
-
-   private:
-    mutable std::mutex mu_;
-    mutable std::shared_ptr<const WhatIfIndex> index_;
-  };
-  std::shared_ptr<const WhatIfIndex> BuildIndex(const DareForest& base,
-                                                const Dataset& test) const;
   /// Tree generation stamps at the last Rebuild/Update: ScoreWithout's
   /// check that it is handed the forest this cache describes.
   std::vector<uint64_t> generation_;
-  IndexSlot index_;
-
-  // leaf_[t][r]: the leaf of tree t that test row r reaches (nullptr when
-  // the tree has no root). prob_[t][r]: that leaf's positive fraction.
-  std::vector<std::vector<const TreeNode*>> leaf_;
-  std::vector<std::vector<double>> prob_;
+  /// order_[t]: test rows grouped by the leaf they reach in tree t, leaves
+  /// in depth-first order; ranges_[t] delimits the groups.
+  std::vector<std::vector<int32_t>> order_;
+  std::vector<std::vector<LeafRange>> ranges_;
+  /// row_prob_[r * num_trees + t]: tree t's probability for test row r.
+  std::vector<double> row_prob_;
   std::vector<double> mean_prob_;
   std::vector<int> pred_;
+  std::vector<int32_t> flipped_;
+
+  // Update's working memory, kept to stay allocation-free per op.
+  std::vector<int32_t> touched_;
+  std::vector<uint8_t> is_touched_;
+  std::vector<int32_t> ranks_;
+  std::vector<int32_t> rank_start_;
+  std::vector<LeafRange> regrouped_;
 };
 
 }  // namespace fume

@@ -669,6 +669,7 @@ void ShardedPredictionCache::Rebuild(const ShardedForest& forest,
     caches_[static_cast<size_t>(s)].Rebuild(forest.shard(s), test);
   }
   FinalizeVote();
+  flipped_.clear();
 }
 
 void ShardedPredictionCache::Update(
@@ -681,7 +682,12 @@ void ShardedPredictionCache::Update(
     caches_[s].Update(forest.shard(static_cast<int>(s)), test,
                       shard_tree_dirty[s]);
   }
+  prev_pred_.swap(pred_);
   FinalizeVote();
+  flipped_.clear();
+  for (size_t r = 0; r < pred_.size(); ++r) {
+    if (pred_[r] != prev_pred_[r]) flipped_.push_back(static_cast<int32_t>(r));
+  }
 }
 
 void ShardedPredictionCache::FinalizeVote() {

@@ -259,7 +259,8 @@ class ShardedPredictionCache {
 
   /// Refreshes after one ensemble op. `shard_tree_dirty[s]` is shard s's
   /// per-tree dirty flags; an EMPTY entry means shard s was untouched by
-  /// the op and is skipped entirely.
+  /// the op and is skipped entirely. The cross-shard vote is a full pass;
+  /// afterwards flipped() lists the rows whose voted prediction changed.
   void Update(const ShardedForest& forest, const Dataset& test,
               const std::vector<std::vector<bool>>& shard_tree_dirty);
 
@@ -279,6 +280,9 @@ class ShardedPredictionCache {
   /// byte-identical to forest.PredictProbAll / PredictAll.
   const std::vector<double>& probs() const { return mean_prob_; }
   const std::vector<int>& predictions() const { return pred_; }
+  /// Test rows whose voted prediction the last Update() flipped (ascending);
+  /// empty after Rebuild().
+  const std::vector<int32_t>& flipped() const { return flipped_; }
 
   int num_shards() const { return static_cast<int>(caches_.size()); }
   const TestPredictionCache& shard(int s) const { return caches_[s]; }
@@ -290,6 +294,8 @@ class ShardedPredictionCache {
   std::vector<TestPredictionCache> caches_;
   std::vector<double> mean_prob_;
   std::vector<int> pred_;
+  std::vector<int32_t> flipped_;
+  std::vector<int> prev_pred_;  // Update's scratch: the pre-vote predictions
 };
 
 }  // namespace fume

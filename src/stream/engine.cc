@@ -1,5 +1,6 @@
 #include "stream/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -186,13 +187,12 @@ Result<StreamEngine> StreamEngine::Create(const Dataset& initial_train,
   for (int64_t r = 0; r < initial_train.num_rows(); ++r) {
     engine.store_ids_[static_cast<size_t>(r)] = static_cast<RowId>(r);
   }
-  engine.RebuildLiveIndex();
   if (engine.sharded_.has_value()) {
     engine.shard_cache_.Rebuild(*engine.sharded_, engine.test_);
   } else {
     engine.cache_.Rebuild(engine.forest_, engine.test_);
   }
-  engine.RefreshMetric();
+  engine.ResetMetric();
   FUME_RETURN_NOT_OK(engine.RunSearch());
   return engine;
 }
@@ -236,34 +236,85 @@ std::vector<std::vector<bool>> StreamEngine::FoldShardDirty(
   return dirty;
 }
 
-void StreamEngine::RebuildLiveIndex() {
-  dense_of_id_.clear();
-  dense_of_id_.reserve(store_ids_.size());
-  for (size_t dense = 0; dense < store_ids_.size(); ++dense) {
-    dense_of_id_[store_ids_[dense]] = static_cast<int64_t>(dense);
-  }
-}
-
-void StreamEngine::RefreshMetric() {
+void StreamEngine::ResetMetric() {
   const std::vector<int>& preds = sharded_.has_value()
                                       ? shard_cache_.predictions()
                                       : cache_.predictions();
-  metric_ = ComputeFairness(test_, preds, config_.fume.group,
-                            config_.fume.metric);
-  int64_t correct = 0;
+  confusion_ = ComputeGroupConfusion(test_, preds, config_.fume.group);
+  correct_ = 0;
   for (int64_t r = 0; r < test_.num_rows(); ++r) {
-    if (preds[static_cast<size_t>(r)] == test_.Label(r)) ++correct;
+    if (preds[static_cast<size_t>(r)] == test_.Label(r)) ++correct_;
   }
+  PublishMetric();
+}
+
+void StreamEngine::ApplyFlips(const std::vector<int32_t>& flipped,
+                              const std::vector<int>& preds) {
+  for (const int32_t r : flipped) {
+    const int label = test_.Label(r);
+    const int now = preds[static_cast<size_t>(r)];
+    Confusion& c = confusion_.Of(test_, r, config_.fume.group);
+    c.Remove(label, 1 - now);
+    c.Add(label, now);
+    correct_ += now == label ? 1 : -1;
+  }
+  PublishMetric();
+}
+
+void StreamEngine::PublishMetric() {
+  // The same integer tallies ComputeFairness would count, so the same
+  // doubles.
+  metric_ = FairnessFromConfusion(confusion_, config_.fume.metric);
   accuracy_ = test_.num_rows() == 0
                   ? 0.0
-                  : static_cast<double>(correct) /
+                  : static_cast<double>(correct_) /
                         static_cast<double>(test_.num_rows());
+}
+
+void StreamEngine::UpdateCache(const std::vector<bool>& tree_dirty) {
+  cache_.Update(forest_, test_, tree_dirty);
+  ApplyFlips(cache_.flipped(), cache_.predictions());
+  metric_stale_ = false;
+}
+
+void StreamEngine::UpdateShardCache(
+    const std::vector<std::vector<bool>>& shard_dirty) {
+  shard_cache_.Update(*sharded_, test_, shard_dirty);
+  ApplyFlips(shard_cache_.flipped(), shard_cache_.predictions());
+  metric_stale_ = false;
+}
+
+Status StreamEngine::GatherTrainData() const {
+  obs::TraceSpan span("stream.mirror.gather",
+                      {{"rows", static_cast<int64_t>(store_ids_.size())}});
+  Dataset data(train_data_.schema());
+  std::vector<int32_t> codes(static_cast<size_t>(data.num_attributes()));
+  const TrainingStore* store =
+      sharded_.has_value() ? nullptr : &forest_.store();
+  for (const RowId id : store_ids_) {
+    for (int j = 0; j < data.num_attributes(); ++j) {
+      codes[static_cast<size_t>(j)] =
+          store != nullptr ? store->code(id, j) : sharded_->Code(id, j);
+    }
+    FUME_RETURN_NOT_OK(data.AppendRow(
+        codes, store != nullptr ? store->label(id) : sharded_->Label(id)));
+  }
+  train_data_ = std::move(data);
+  train_stale_ = false;
+  return Status::OK();
+}
+
+const Dataset& StreamEngine::train_data() const {
+  // The store rows were validated when they entered (AppendRow on insert,
+  // GatherTrainData at Restore), so a re-gather cannot fail.
+  if (train_stale_) FUME_CHECK(GatherTrainData().ok());
+  return train_data_;
 }
 
 Status StreamEngine::RunSearch() {
   obs::TraceSpan span("stream.search",
                       {{"staleness", staleness_ops_},
-                       {"rows", train_data_.num_rows()}});
+                       {"rows", rows_live()}});
   StreamMetrics::Get().searches->Inc();
   metric_at_last_search_ = metric_;
   staleness_ops_ = 0;
@@ -300,7 +351,7 @@ Status StreamEngine::RunSearch() {
   }
   FUME_ASSIGN_OR_RETURN(
       FumeResult result,
-      ExplainWithRemoval(original, train_data_, fume_config, &removal));
+      ExplainWithRemoval(original, train_data(), fume_config, &removal));
   explanation_ = std::move(result);
   return Status::OK();
 }
@@ -322,21 +373,17 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
     FUME_ASSIGN_OR_RETURN(
         new_ids, forest_.AddData(batch, &per_tree, &unlearn_scratch_));
   }
-  for (size_t i = 0; i < op.rows.size(); ++i) {
-    // Validated above; appending to the mirror cannot fail now.
-    FUME_CHECK(train_data_.AppendRow(op.rows[i].codes, op.rows[i].label).ok());
-    dense_of_id_[new_ids[i]] =
-        static_cast<int64_t>(store_ids_.size());
-    store_ids_.push_back(new_ids[i]);
+  for (const RowId id : new_ids) {
+    // Ids are append-only, so live ids stay sorted by appending.
+    FUME_CHECK(store_ids_.empty() || id > store_ids_.back());
+    store_ids_.push_back(id);
   }
+  train_stale_ = true;
   if (sharded_.has_value()) {
     // Same flush-boundary contract as the monolithic branch below: AddData
     // flushed every pending tag (per-shard reports carry those retrains),
     // so fold the deferred-burst dirtiness and resume exact metrics.
-    const std::vector<std::vector<bool>> shard_dirty =
-        FoldShardDirty(per_shard);
-    metric_stale_ = false;
-    shard_cache_.Update(*sharded_, test_, shard_dirty);
+    UpdateShardCache(FoldShardDirty(per_shard));
     StreamMetrics::Get().inserts->Inc();
     StreamMetrics::Get().rows_added->Inc(
         static_cast<int64_t>(op.rows.size()));
@@ -364,8 +411,7 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
     }
     lazy_dirty_.assign(lazy_dirty_.size(), false);
   }
-  metric_stale_ = false;
-  cache_.Update(forest_, test_, dirty);
+  UpdateCache(dirty);
   StreamMetrics::Get().inserts->Inc();
   StreamMetrics::Get().rows_added->Inc(static_cast<int64_t>(op.rows.size()));
   return Status::OK();
@@ -373,16 +419,16 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
 
 Status StreamEngine::ApplyDelete(const StreamOp& op) {
   if (op.row_ids.empty()) return Status::Invalid("delete op carries no ids");
-  std::vector<int64_t> dense_rows;
+  std::vector<size_t> dense_rows;
   dense_rows.reserve(op.row_ids.size());
   for (RowId id : op.row_ids) {
-    auto it = dense_of_id_.find(id);
-    if (it == dense_of_id_.end()) {
+    const auto it = std::lower_bound(store_ids_.begin(), store_ids_.end(), id);
+    if (it == store_ids_.end() || *it != id) {
       return Status::KeyError("row id " + std::to_string(id) +
                               " is not live (never inserted, or already "
                               "deleted)");
     }
-    dense_rows.push_back(it->second);
+    dense_rows.push_back(static_cast<size_t>(it - store_ids_.begin()));
   }
   std::vector<DeletionStats> per_tree;
   std::vector<std::vector<DeletionStats>> per_shard;
@@ -393,16 +439,20 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     FUME_RETURN_NOT_OK(
         forest_.DeleteRows(op.row_ids, &per_tree, &unlearn_scratch_));
   }
-  train_data_ = train_data_.DropRows(dense_rows);
-  // Drop the same dense positions from the id map, preserving order.
-  std::vector<bool> doomed(store_ids_.size(), false);
-  for (int64_t dense : dense_rows) doomed[static_cast<size_t>(dense)] = true;
-  size_t kept = 0;
-  for (size_t dense = 0; dense < store_ids_.size(); ++dense) {
-    if (!doomed[dense]) store_ids_[kept++] = store_ids_[dense];
+  // Erase the doomed positions, sliding each surviving block down once.
+  std::sort(dense_rows.begin(), dense_rows.end());
+  dense_rows.erase(std::unique(dense_rows.begin(), dense_rows.end()),
+                   dense_rows.end());
+  auto out = store_ids_.begin() + static_cast<std::ptrdiff_t>(dense_rows[0]);
+  for (size_t i = 0; i < dense_rows.size(); ++i) {
+    const size_t next =
+        i + 1 < dense_rows.size() ? dense_rows[i + 1] : store_ids_.size();
+    out = std::copy(
+        store_ids_.begin() + static_cast<std::ptrdiff_t>(dense_rows[i] + 1),
+        store_ids_.begin() + static_cast<std::ptrdiff_t>(next), out);
   }
-  store_ids_.resize(kept);
-  RebuildLiveIndex();
+  store_ids_.erase(out, store_ids_.end());
+  train_stale_ = true;
   if (sharded_.has_value()) {
     if (config_.forest.lazy_unlearn) {
       // Deferred burst (see the monolithic branch below): accumulate each
@@ -428,7 +478,7 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
       }
       metric_stale_ = true;
     } else {
-      shard_cache_.Update(*sharded_, test_, FoldShardDirty(per_shard));
+      UpdateShardCache(FoldShardDirty(per_shard));
     }
     StreamMetrics::Get().deletes->Inc();
     StreamMetrics::Get().rows_deleted->Inc(
@@ -461,7 +511,7 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
         static_cast<int64_t>(op.row_ids.size()));
     return Status::OK();
   }
-  cache_.Update(forest_, test_, dirty);
+  UpdateCache(dirty);
   StreamMetrics::Get().deletes->Inc();
   StreamMetrics::Get().rows_deleted->Inc(
       static_cast<int64_t>(op.row_ids.size()));
@@ -501,12 +551,10 @@ Result<OpOutcome> StreamEngine::Apply(const StreamOp& op) {
       break;
   }
   last_seq_ = op.seq;
-  if (model_changed) {
-    // While a deferred burst is pending the cache still describes the
-    // pre-burst model; the metric refreshes at the next flush boundary.
-    if (!metric_stale_) RefreshMetric();
-    ++staleness_ops_;
-  }
+  // The op's cache update already moved the metric (while a deferred burst
+  // is pending it still describes the pre-burst model, until the next
+  // flush boundary).
+  if (model_changed) ++staleness_ops_;
   outcome.apply_seconds = apply_watch.ElapsedSeconds();
 
   // Drift policy: checkpoints refresh whenever stale (so the persisted
@@ -567,9 +615,7 @@ void StreamEngine::FlushLazy() {
     // FoldShardDirty merges each shard's flush retrains with the dirtiness
     // its deferred deletes accumulated (shard_lazy_dirty_); shards with
     // neither stay untouched in the cache.
-    shard_cache_.Update(*sharded_, test_, FoldShardDirty(per_shard));
-    metric_stale_ = false;
-    RefreshMetric();
+    UpdateShardCache(FoldShardDirty(per_shard));
     return;
   }
   if (!metric_stale_ && !forest_.HasLazyTags()) return;
@@ -596,9 +642,7 @@ void StreamEngine::FlushLazy() {
     }
     lazy_dirty_.assign(lazy_dirty_.size(), false);
   }
-  cache_.Update(forest_, test_, dirty);
-  metric_stale_ = false;
-  RefreshMetric();
+  UpdateCache(dirty);
 }
 
 Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
@@ -737,9 +781,9 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
     FUME_ASSIGN_OR_RETURN(engine.forest_, LoadForest(in));
   }
 
-  // Reassemble the dense training mirror from the store and the live-id
-  // map, then verify the checkpoint is self-consistent. All shards share
-  // one schema (they partition one dataset), so shard 0 speaks for it.
+  // Verify the live-id block against the restored model, then reassemble
+  // the dense training mirror from the store. All shards share one schema
+  // (they partition one dataset), so shard 0 speaks for it.
   const TrainingStore& store = engine.sharded_.has_value()
                                    ? engine.sharded_->shard(0).store()
                                    : engine.forest_.store();
@@ -753,42 +797,28 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
                              schema.attribute(j).name + "'");
     }
   }
+  const int64_t id_limit = engine.sharded_.has_value()
+                               ? engine.sharded_->num_global_ids()
+                               : store.num_rows();
+  for (size_t i = 0; i < engine.store_ids_.size(); ++i) {
+    const RowId id = engine.store_ids_[i];
+    if (id < 0 || static_cast<int64_t>(id) >= id_limit) {
+      return Status::IOError("checkpoint: live id out of store range");
+    }
+    if (i > 0 && id <= engine.store_ids_[i - 1]) {
+      return Status::IOError(
+          "checkpoint: live ids not strictly ascending (duplicate or "
+          "reordered id)");
+    }
+  }
+  const int64_t forest_rows = engine.sharded_.has_value()
+                                  ? engine.sharded_->num_training_rows()
+                                  : engine.forest_.num_training_rows();
+  if (engine.rows_live() != forest_rows) {
+    return Status::IOError("checkpoint: live ids disagree with forest");
+  }
   engine.train_data_ = Dataset(schema);
-  std::vector<int32_t> codes(static_cast<size_t>(store.num_attrs()));
-  if (engine.sharded_.has_value()) {
-    const int64_t limit = engine.sharded_->num_global_ids();
-    for (RowId id : engine.store_ids_) {
-      if (id < 0 || static_cast<int64_t>(id) >= limit) {
-        return Status::IOError("checkpoint: live id out of store range");
-      }
-      for (int j = 0; j < store.num_attrs(); ++j) {
-        codes[static_cast<size_t>(j)] = engine.sharded_->Code(id, j);
-      }
-      FUME_RETURN_NOT_OK(
-          engine.train_data_.AppendRow(codes, engine.sharded_->Label(id)));
-    }
-    if (engine.train_data_.num_rows() !=
-        engine.sharded_->num_training_rows()) {
-      return Status::IOError("checkpoint: live ids disagree with forest");
-    }
-  } else {
-    for (RowId id : engine.store_ids_) {
-      if (id < 0 || id >= store.num_rows()) {
-        return Status::IOError("checkpoint: live id out of store range");
-      }
-      for (int j = 0; j < store.num_attrs(); ++j) {
-        codes[static_cast<size_t>(j)] = store.code(id, j);
-      }
-      FUME_RETURN_NOT_OK(engine.train_data_.AppendRow(codes, store.label(id)));
-    }
-    if (engine.train_data_.num_rows() != engine.forest_.num_training_rows()) {
-      return Status::IOError("checkpoint: live ids disagree with forest");
-    }
-  }
-  engine.RebuildLiveIndex();
-  if (engine.dense_of_id_.size() != engine.store_ids_.size()) {
-    return Status::IOError("checkpoint: duplicate live ids");
-  }
+  FUME_RETURN_NOT_OK(engine.GatherTrainData());
   if (engine.sharded_.has_value()) {
     engine.ckpt_dirty_.assign(
         static_cast<size_t>(engine.sharded_->num_shards()), true);
@@ -796,7 +826,7 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   } else {
     engine.cache_.Rebuild(engine.forest_, engine.test_);
   }
-  engine.RefreshMetric();
+  engine.ResetMetric();
   if (engine.metric_ != saved_metric || engine.accuracy_ != saved_accuracy) {
     return Status::IOError(
         "checkpoint: recomputed metric disagrees with saved state (corrupt "

@@ -21,13 +21,13 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fume.h"
+#include "fairness/confusion.h"
+#include "forest/prediction_cache.h"
 #include "forest/sharded_forest.h"
 #include "stream/op_log.h"
-#include "stream/prediction_cache.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -135,7 +135,7 @@ class StreamEngine {
   /// shard_prediction_cache() instead).
   const DareForest& forest() const { return forest_; }
   /// Warm test-set prediction cache, kept exact after every Apply. A served
-  /// snapshot copies it so ScoreWhatIf runs off the snapshot's own state.
+  /// snapshot copies it so ScoreWithout runs off the snapshot's own state.
   const TestPredictionCache& prediction_cache() const { return cache_; }
   /// True when config().shard.num_shards > 1 engaged the SISA path.
   bool is_sharded() const { return sharded_.has_value(); }
@@ -145,11 +145,15 @@ class StreamEngine {
   }
   const StreamEngineConfig& config() const { return config_; }
   /// Surviving training rows, dense, in arrival order — what a cold
-  /// retrain would train on.
-  const Dataset& train_data() const { return train_data_; }
+  /// retrain would train on. Ops only mark this mirror stale; it is
+  /// gathered from the model's training store on the first read after an
+  /// op (O(rows live)), so like every accessor here it must not race
+  /// Apply() or another first read.
+  const Dataset& train_data() const;
   const Dataset& test_data() const { return test_; }
-  int64_t rows_live() const { return train_data_.num_rows(); }
-  /// Engine id (training-store id) of each live row, dense order.
+  int64_t rows_live() const { return static_cast<int64_t>(store_ids_.size()); }
+  /// Engine id (training-store id, or global id when sharded) of each live
+  /// row, strictly ascending: row i of train_data() is live_ids()[i].
   const std::vector<RowId>& live_ids() const { return store_ids_; }
 
   // ---- checkpoint / restore ------------------------------------------
@@ -177,12 +181,23 @@ class StreamEngine {
 
   Status ApplyInsert(const StreamOp& op);
   Status ApplyDelete(const StreamOp& op);
-  /// Recomputes metric_ / accuracy_ from the prediction cache.
-  void RefreshMetric();
+  /// Recounts the confusion tallies from the prediction cache in full
+  /// (after a Rebuild) and publishes metric_ / accuracy_.
+  void ResetMetric();
+  /// Refreshes the cache after one op (or a lazy flush) and moves the
+  /// confusion tallies by the rows whose prediction flipped.
+  void UpdateCache(const std::vector<bool>& tree_dirty);
+  void UpdateShardCache(const std::vector<std::vector<bool>>& shard_dirty);
+  void ApplyFlips(const std::vector<int32_t>& flipped,
+                  const std::vector<int>& preds);
+  void PublishMetric();
+  /// Gathers train_data_ from the store for live_ids(), in order — the one
+  /// place the dense mirror is built (lazily after ops, eagerly at
+  /// Restore, where it also validates the store's codes).
+  Status GatherTrainData() const;
   /// Runs the FUME search against the current model (or records "no
   /// violation" when |F| is below the configured floor).
   Status RunSearch();
-  void RebuildLiveIndex();
   /// The shared pool, created lazily at first use (nullptr while
   /// config_.fume.num_threads <= 1). Serves both search fan-out and
   /// sharded op fan-out — never both at once (ops and searches are
@@ -206,12 +221,19 @@ class StreamEngine {
   /// Reused across every insert/delete op this engine applies, keeping the
   /// unlearning kernel allocation-free in the steady state.
   DeletionScratch unlearn_scratch_;
-  Dataset train_data_;
-  /// store_ids_[dense row] = engine/store id; parallel to train_data_.
+  /// Dense mirror of the live rows, valid while !train_stale_ (its schema
+  /// is always valid). Mutable: train_data() gathers it on demand.
+  mutable Dataset train_data_;
+  mutable bool train_stale_ = false;
+  /// store_ids_[dense row] = engine/store id, strictly ascending (store and
+  /// global ids are append-only); deletes find ids by binary search.
   std::vector<RowId> store_ids_;
-  /// Inverse of store_ids_ for delete lookups.
-  std::unordered_map<RowId, int64_t> dense_of_id_;
   TestPredictionCache cache_;
+  /// Confusion tallies and correct-prediction count of the cache's
+  /// predictions: metric_ and accuracy_ are derived from these integers,
+  /// so they are bit-identical to ComputeFairness over the predictions.
+  GroupConfusion confusion_;
+  int64_t correct_ = 0;
   /// Shared evaluation pool for every search this engine runs; created at
   /// the first search with config_.fume.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;

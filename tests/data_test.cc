@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "data/csv.h"
 #include "data/dataset.h"
@@ -122,6 +125,42 @@ TEST(DatasetTest, WithPermutedColumnOnlyTouchesThatColumn) {
     EXPECT_EQ(perm.Code(r, 1), data.Code(r, 1));
     EXPECT_EQ(perm.Label(r), data.Label(r));
   }
+}
+
+TEST(DatasetTest, ConcurrentPackedCodesReadersShareOneSnapshot) {
+  // Readers race the first packed_codes() call and then keep re-reading
+  // the cached pointer; all must see one coherent snapshot (the race sweep
+  // runs this under ThreadSanitizer).
+  Dataset data(TwoAttrSchema());
+  for (int r = 0; r < 2000; ++r) {
+    ASSERT_TRUE(data.AppendRow({r % 3, (r / 3) % 2}, r % 2).ok());
+  }
+  constexpr int kReaders = 4;
+  constexpr int kReads = 200;
+  std::vector<std::shared_ptr<const PackedCodes>> seen(kReaders);
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&data, &seen, &mismatches, i] {
+      for (int k = 0; k < kReads; ++k) {
+        std::shared_ptr<const PackedCodes> packed = data.packed_codes();
+        if (seen[i] == nullptr) seen[i] = packed;
+        if (packed != seen[i]) ++mismatches[i];
+        const int64_t r = k * 7 % data.num_rows();
+        if (packed->row(r)[0] != data.Code(r, 0) ||
+            packed->row(r)[1] != data.Code(r, 1)) {
+          ++mismatches[i];
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int i = 0; i < kReaders; ++i) {
+    EXPECT_EQ(mismatches[i], 0) << "reader " << i;
+    EXPECT_EQ(seen[i], seen[0]);
+  }
+  EXPECT_EQ(seen[0]->num_attrs, 2);
+  EXPECT_EQ(seen[0]->codes.size(), 2u * 2000u);
 }
 
 // --------------------------------------------------------------- CSV

@@ -296,13 +296,13 @@ TEST(ForestArenaTest, NullRootCompilesToTheSentinel) {
   EXPECT_EQ(probs[0], 0.5);
   EXPECT_EQ(probs[1], 0.5);
 
-  const TreeNode* leaves[2] = {};
-  double walk_probs[2] = {-1.0, -1.0};
-  arena->WalkLeaves(codes, 2, 2, leaves, walk_probs);
-  EXPECT_EQ(leaves[0], nullptr);
-  EXPECT_EQ(leaves[1], nullptr);
-  EXPECT_EQ(walk_probs[0], 0.5);
-  EXPECT_EQ(walk_probs[1], 0.5);
+  int32_t ranks[2] = {-1, -1};
+  arena->WalkLeafRanks(codes, 2, 2, ranks);
+  EXPECT_EQ(ranks[0], 0);
+  EXPECT_EQ(ranks[1], 0);
+  ASSERT_EQ(arena->num_leaves(), 1);
+  EXPECT_EQ(arena->leaf_node(0), nullptr);
+  EXPECT_EQ(arena->leaf_prob(0), 0.5);
 }
 
 TEST(DatasetPackedCodesTest, MatchesCodesAndInvalidatesOnAppend) {

@@ -36,6 +36,7 @@
 #include "serve/tenant.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
+#include "stream/workload.h"
 #include "synth/datasets.h"
 #include "util/json.h"
 #include "util/socket.h"
@@ -760,6 +761,46 @@ TEST(ServeLifecycle, HealthMetricsAndDoubleShutdown) {
   }
   server.Shutdown();
   server.Shutdown();  // idempotent
+}
+
+TEST(ServeTenant, SnapshotMatchesEngineAfterEveryStreamOp) {
+  // Every serve write re-walks all trees (the published snapshot keeps the
+  // previous nodes shared, so the op unshares them); the snapshot the write
+  // publishes must still equal an offline engine fed the same ops, and its
+  // cache must equal its own forest's predictions.
+  ServePipeline p = BuildPipeline(23);
+  Server server{ServerConfig{}};
+  ASSERT_TRUE(
+      server.RegisterTenant("credit", p.initial_train, p.test, p.tenant).ok());
+  Tenant* tenant = server.FindTenant("credit");
+  ASSERT_NE(tenant, nullptr);
+  auto offline =
+      StreamEngine::Create(p.initial_train, p.test, p.tenant.engine);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+
+  stream::WorkloadOptions w;
+  w.num_ops = 60;
+  w.insert_batch = 1;
+  w.delete_batch = 1;
+  w.checkpoint_every = 0;
+  w.seed = 8;
+  auto ops = stream::SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  for (const StreamOp& op : *ops) {
+    ASSERT_TRUE(tenant->ApplyStreamOp(op).ok()) << "seq " << op.seq;
+    ASSERT_TRUE(offline->Apply(op).ok()) << "seq " << op.seq;
+    const auto snap = tenant->snapshot();
+    ASSERT_EQ(snap->seq, offline->last_seq());
+    ASSERT_EQ(snap->metric, offline->current_metric());
+    ASSERT_EQ(snap->accuracy, offline->current_accuracy());
+    ASSERT_EQ(snap->rows_live, offline->rows_live());
+    ASSERT_EQ(snap->live_ids, offline->live_ids());
+    ASSERT_EQ(snap->cache->probs(), offline->prediction_cache().probs());
+    ASSERT_EQ(snap->cache->predictions(),
+              offline->prediction_cache().predictions());
+    ASSERT_EQ(snap->cache->probs(), snap->forest.PredictProbAll(p.test));
+  }
+  server.Shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,17 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/fume.h"
 #include "core/removal_method.h"
 #include "data/split.h"
 #include "fairness/metrics.h"
+#include "forest/prediction_cache.h"
+#include "obs/metrics.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
-#include "stream/prediction_cache.h"
 #include "stream/workload.h"
 #include "synth/datasets.h"
 
@@ -369,6 +374,272 @@ TEST(StreamCheckpointTest, RestoreRejectsGarbageAndWrongSchema) {
   wrong.AddCategorical("only", {"a", "b"});
   EXPECT_FALSE(
       StreamEngine::Restore(blob, wrong, p.test, p.config).ok());
+}
+
+// Tampered live-id blocks: the ids must be strictly ascending, so a swap
+// or a duplicate is a corrupt checkpoint, for either model layout.
+void ExpectTamperedIdsRejected(int num_shards) {
+  StreamPipeline p = BuildPipeline(4);
+  p.config.shard.num_shards = num_shards;
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(engine->Apply(StreamOp::Delete(1, {2, 5})).ok());
+  std::stringstream blob;
+  ASSERT_TRUE(engine->SaveCheckpoint(blob).ok());
+  const std::string bytes = blob.str();
+  // magic, version, seq, metric, accuracy, drift reference, staleness,
+  // live count — then the ids.
+  const size_t ids_at = 8 + 4 + 5 * 8 + 8;
+  ASSERT_GT(bytes.size(), ids_at + 2 * sizeof(RowId));
+  RowId first = 0;
+  RowId second = 0;
+  std::memcpy(&first, bytes.data() + ids_at, sizeof(RowId));
+  std::memcpy(&second, bytes.data() + ids_at + sizeof(RowId), sizeof(RowId));
+  ASSERT_LT(first, second);
+
+  {  // Untouched bytes restore.
+    std::stringstream in(bytes);
+    EXPECT_TRUE(
+        StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config)
+            .ok());
+  }
+  std::string swapped = bytes;
+  std::memcpy(&swapped[ids_at], &second, sizeof(RowId));
+  std::memcpy(&swapped[ids_at + sizeof(RowId)], &first, sizeof(RowId));
+  std::string duplicated = bytes;
+  std::memcpy(&duplicated[ids_at + sizeof(RowId)], &first, sizeof(RowId));
+  for (const std::string& tampered : {swapped, duplicated}) {
+    std::stringstream in(tampered);
+    auto restored =
+        StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsIOError()) << restored.status().ToString();
+  }
+}
+
+TEST(StreamCheckpointTest, RestoreRejectsSwappedOrDuplicatedLiveIds) {
+  ExpectTamperedIdsRejected(1);
+}
+
+TEST(StreamCheckpointTest, ShardedRestoreRejectsSwappedOrDuplicatedLiveIds) {
+  ExpectTamperedIdsRejected(2);
+}
+
+// ---------------------------------------------------------------------------
+// Per-op exactness: after EVERY single-row op the engine's incremental
+// state — leaf-range prediction cache, confusion-count metric, sorted live
+// ids and the lazily gathered training mirror — equals what a
+// from-scratch computation gives.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The dense mirror the engine must reproduce, maintained the slow way.
+struct ReferenceMirror {
+  Dataset rows;
+  std::vector<RowId> ids;
+  RowId next_id = 0;
+
+  explicit ReferenceMirror(const Dataset& initial) : rows(initial) {
+    for (int64_t r = 0; r < initial.num_rows(); ++r) {
+      ids.push_back(next_id++);
+    }
+  }
+
+  void Apply(const StreamOp& op) {
+    if (op.kind == OpKind::kInsert) {
+      for (const StreamRow& row : op.rows) {
+        ASSERT_TRUE(rows.AppendRow(row.codes, row.label).ok());
+        ids.push_back(next_id++);
+      }
+    } else if (op.kind == OpKind::kDelete) {
+      std::vector<int64_t> dense;
+      for (const RowId id : op.row_ids) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          if (ids[i] == id) dense.push_back(static_cast<int64_t>(i));
+        }
+      }
+      ASSERT_EQ(dense.size(), op.row_ids.size());
+      rows = rows.DropRows(dense);
+      std::vector<RowId> kept;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (std::find(dense.begin(), dense.end(),
+                      static_cast<int64_t>(i)) == dense.end()) {
+          kept.push_back(ids[i]);
+        }
+      }
+      ids = std::move(kept);
+    }
+  }
+};
+
+void ExpectPerOpExact(const StreamEngine& engine, const StreamPipeline& p,
+                      const ReferenceMirror& ref) {
+  const std::vector<RowId>& ids = engine.live_ids();
+  ASSERT_EQ(ids, ref.ids);
+  for (size_t i = 1; i < ids.size(); ++i) ASSERT_LT(ids[i - 1], ids[i]);
+  EXPECT_EQ(engine.rows_live(), static_cast<int64_t>(ids.size()));
+  const Dataset& mirror = engine.train_data();
+  ASSERT_EQ(mirror.num_rows(), ref.rows.num_rows());
+  ASSERT_EQ(mirror.labels(), ref.rows.labels());
+  for (int j = 0; j < mirror.num_attributes(); ++j) {
+    ASSERT_EQ(mirror.codes(j), ref.rows.codes(j)) << "attribute " << j;
+  }
+  // A deferred lazy burst leaves the cache and metric on the pre-burst
+  // model until the next flush boundary (and the forest must not be
+  // descended meanwhile); they are checked at every flush point instead.
+  if (engine.deferring()) return;
+  std::vector<double> probs;
+  std::vector<int> preds;
+  const std::vector<double>* cached_probs = nullptr;
+  const std::vector<int>* cached_preds = nullptr;
+  if (engine.is_sharded()) {
+    probs = engine.sharded_forest().PredictProbAll(p.test);
+    preds = engine.sharded_forest().PredictAll(p.test);
+    cached_probs = &engine.shard_prediction_cache().probs();
+    cached_preds = &engine.shard_prediction_cache().predictions();
+  } else {
+    probs = engine.forest().PredictProbAll(p.test);
+    preds = engine.forest().PredictAll(p.test);
+    cached_probs = &engine.prediction_cache().probs();
+    cached_preds = &engine.prediction_cache().predictions();
+  }
+  ASSERT_EQ(*cached_probs, probs);
+  ASSERT_EQ(*cached_preds, preds);
+  EXPECT_TRUE(SameBits(engine.current_metric(),
+                       ComputeFairness(p.test, preds, p.group,
+                                       p.config.fume.metric)));
+  int64_t correct = 0;
+  for (int64_t r = 0; r < p.test.num_rows(); ++r) {
+    if (preds[static_cast<size_t>(r)] == p.test.Label(r)) ++correct;
+  }
+  EXPECT_TRUE(SameBits(engine.current_accuracy(),
+                       static_cast<double>(correct) /
+                           static_cast<double>(p.test.num_rows())));
+}
+
+/// Never searches after Create: the checks are about op upkeep.
+void PinExplanation(StreamEngineConfig* config) {
+  config->drift.abs_threshold = std::numeric_limits<double>::infinity();
+  config->drift.rel_threshold = std::numeric_limits<double>::infinity();
+  config->search_on_checkpoint = false;
+  // Equalized odds reads all four confusion cells.
+  config->fume.metric = FairnessMetric::kEqualizedOdds;
+}
+
+void RunPerOpExactness(bool lazy, int num_shards, uint64_t workload_seed) {
+  StreamPipeline p = BuildPipeline(9);
+  PinExplanation(&p.config);
+  p.config.forest.lazy_unlearn = lazy;
+  p.config.shard.num_shards = num_shards;
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  WorkloadOptions w;
+  w.num_ops = 420;
+  w.insert_batch = 1;
+  w.delete_batch = 1;
+  w.checkpoint_every = 60;
+  w.seed = workload_seed;
+  auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  int64_t writes = 0;
+  int64_t flip_points = 0;
+  double last_metric = engine->current_metric();
+  ReferenceMirror ref(p.initial_train);
+  for (const StreamOp& op : *ops) {
+    ASSERT_TRUE(engine->Apply(op).ok()) << "seq " << op.seq;
+    ref.Apply(op);
+    if (op.kind != OpKind::kCheckpoint) ++writes;
+    ExpectPerOpExact(*engine, p, ref);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (!SameBits(engine->current_metric(), last_metric)) ++flip_points;
+    last_metric = engine->current_metric();
+  }
+  EXPECT_GE(writes, 400);
+  // The metric moved along the way, so the incremental tallies were used.
+  EXPECT_GT(flip_points, 0);
+}
+
+TEST(StreamPerOpExactnessTest, EagerSingleRowOps) {
+  RunPerOpExactness(/*lazy=*/false, /*num_shards=*/1, 5);
+}
+
+TEST(StreamPerOpExactnessTest, LazySingleRowOps) {
+  RunPerOpExactness(/*lazy=*/true, /*num_shards=*/1, 6);
+}
+
+TEST(StreamPerOpExactnessTest, TwoShardSingleRowOps) {
+  RunPerOpExactness(/*lazy=*/false, /*num_shards=*/2, 7);
+}
+
+// A pure single-leaf forest: conflicting inserts rebuild the root leaf into
+// a split in place (no retrain, so the cache re-partitions that leaf's range
+// instead of re-walking), and deleting every row empties a leaf completely.
+TEST(StreamPerOpExactnessTest, InPlaceLeafSplitAndEmptiedLeaf) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddCategorical("group", {"a", "b"}).ok());
+  ASSERT_TRUE(schema.AddCategorical("x", {"p", "q", "r", "s"}).ok());
+  StreamPipeline p;
+  p.initial_train = Dataset(schema);
+  p.test = Dataset(schema);
+  p.pool = Dataset(schema);
+  for (int32_t x = 0; x < 4; ++x) {
+    ASSERT_TRUE(p.initial_train.AppendRow({x % 2, x}, 1).ok());
+    for (int32_t g = 0; g < 2; ++g) {
+      ASSERT_TRUE(p.test.AppendRow({g, x}, (g + x) % 2).ok());
+    }
+  }
+  p.group.sensitive_attr = 0;
+  p.group.privileged_code = 1;
+  p.config.forest.num_trees = 3;
+  p.config.forest.max_depth = 3;
+  p.config.forest.random_depth = 0;
+  p.config.forest.seed = 5;
+  p.config.fume.group = p.group;
+  p.config.fume.min_original_bias = 10.0;  // never search: tiny data
+  PinExplanation(&p.config);
+
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    p.config.forest.lazy_unlearn = lazy;
+    auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_EQ(engine->forest().num_nodes(), 3);  // one pure leaf per tree
+    ReferenceMirror ref(p.initial_train);
+    obs::Counter* rewalked =
+        obs::GetCounter("stream.predcache.trees_rewalked");
+    const int64_t rewalked_before = rewalked->Value();
+    int64_t seq = 1;
+    auto apply = [&](const StreamOp& op) {
+      ASSERT_TRUE(engine->Apply(op).ok()) << "seq " << op.seq;
+      ref.Apply(op);
+      ExpectPerOpExact(*engine, p, ref);
+    };
+    // Label-0 rows at x = s split the root leaves in place.
+    for (int i = 0; i < 4 && !HasFatalFailure(); ++i) {
+      StreamRow row;
+      row.codes = {i % 2, 3};
+      row.label = 0;
+      apply(StreamOp::Insert(seq++, {row}));
+    }
+    if (HasFatalFailure()) return;
+    EXPECT_GT(engine->forest().num_nodes(), 3);
+    EXPECT_EQ(rewalked->Value(), rewalked_before);
+    // Delete everything, one row at a time: leaves drain to count 0.
+    const std::vector<RowId> all = engine->live_ids();
+    for (const RowId id : all) {
+      apply(StreamOp::Delete(seq++, {id}));
+      if (HasFatalFailure()) return;
+    }
+    engine->FlushLazy();
+    ExpectPerOpExact(*engine, p, ref);
+    EXPECT_EQ(engine->rows_live(), 0);
+    for (const double prob : engine->prediction_cache().probs()) {
+      EXPECT_EQ(prob, 0.5);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
