@@ -18,12 +18,22 @@
 // test set, min/median/max over repeats — the record that an op's upkeep
 // is flat in the training-set size (docs/performance.md "Stream op
 // upkeep").
+//
+// Beside each N-sweep cell sits a checkpoint-save cell: wall time of
+// StreamEngine::SaveCheckpointToFile into a temporary directory for the
+// engine the sweep left behind, min/median/max over repeated saves
+// (docs/performance.md "Checkpoint writer").
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -43,9 +53,33 @@ struct SweepCell {
   std::vector<double> seconds;  // sorted
 };
 
-SweepCell RunSweepCell(const Dataset& data, const Dataset& test,
-                       int64_t rows, int num_ops, int repeats,
-                       const stream::StreamEngineConfig& config) {
+/// One checkpoint-save cell: seconds per SaveCheckpointToFile of one
+/// engine, over repeated saves.
+struct SaveCell {
+  int64_t rows = 0;
+  int64_t bytes = 0;
+  std::vector<double> seconds;  // sorted
+};
+
+SaveCell RunSaveCell(const stream::StreamEngine& engine, int64_t rows,
+                     int repeats, const std::string& path) {
+  SaveCell cell;
+  cell.rows = rows;
+  for (int rep = 0; rep < repeats; ++rep) {
+    Stopwatch watch;
+    FUME_ABORT_NOT_OK(engine.SaveCheckpointToFile(path));
+    cell.seconds.push_back(watch.ElapsedSeconds());
+  }
+  std::sort(cell.seconds.begin(), cell.seconds.end());
+  cell.bytes = static_cast<int64_t>(std::filesystem::file_size(path));
+  return cell;
+}
+
+/// `after_ops` sees the last repeat's engine once its ops are applied.
+SweepCell RunSweepCell(
+    const Dataset& data, const Dataset& test, int64_t rows, int num_ops,
+    int repeats, const stream::StreamEngineConfig& config,
+    const std::function<void(const stream::StreamEngine&)>& after_ops) {
   std::vector<int64_t> initial_rows, pool_rows;
   for (int64_t r = 0; r < rows; ++r) initial_rows.push_back(r);
   for (int64_t r = rows; r < rows + num_ops; ++r) pool_rows.push_back(r);
@@ -75,6 +109,7 @@ SweepCell RunSweepCell(const Dataset& data, const Dataset& test,
     }
     cell.ops = applied;
     cell.seconds.push_back(total);
+    if (rep + 1 == repeats) after_ops(*engine);
   }
   std::sort(cell.seconds.begin(), cell.seconds.end());
   return cell;
@@ -222,11 +257,21 @@ int main(int argc, char** argv) {
   sweep_config.fume.min_original_bias =
       std::numeric_limits<double>::infinity();
   std::vector<SweepCell> sweep;
+  std::vector<SaveCell> saves;
+  const int save_repeats = smoke ? 3 : 15;
+  const std::filesystem::path tmp_dir =
+      std::filesystem::temp_directory_path() /
+      ("fume_bench_checkpoint_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(tmp_dir);
+  const std::string ckpt_path = (tmp_dir / "engine.ckpt").string();
   TablePrinter sweep_table(
       {"Train rows", "Ops", "us/op min", "us/op median", "us/op max"});
   for (const int64_t rows : sweep_sizes) {
-    sweep.push_back(RunSweepCell(sweep_train, sweep_test, rows, sweep_ops,
-                                 sweep_repeats, sweep_config));
+    sweep.push_back(RunSweepCell(
+        sweep_train, sweep_test, rows, sweep_ops, sweep_repeats, sweep_config,
+        [&](const stream::StreamEngine& engine) {
+          saves.push_back(RunSaveCell(engine, rows, save_repeats, ckpt_path));
+        }));
     const SweepCell& cell = sweep.back();
     sweep_table.AddRow(
         {std::to_string(rows), std::to_string(cell.ops),
@@ -238,6 +283,21 @@ int main(int argc, char** argv) {
   std::cout << "\nN-sweep: engine time per single-row op, " << sweep_test_rows
             << " test rows\n";
   sweep_table.Print(std::cout);
+  std::filesystem::remove_all(tmp_dir);
+  TablePrinter save_table(
+      {"Train rows", "Image (MB)", "ms/save min", "ms/save median",
+       "ms/save max"});
+  for (const SaveCell& cell : saves) {
+    save_table.AddRow({std::to_string(cell.rows),
+                       FormatDouble(cell.bytes / 1e6, 2),
+                       FormatDouble(cell.seconds.front() * 1e3, 2),
+                       FormatDouble(cell.seconds[cell.seconds.size() / 2] * 1e3,
+                                    2),
+                       FormatDouble(cell.seconds.back() * 1e3, 2)});
+  }
+  std::cout << "\nCheckpoint save (SaveCheckpointToFile), " << save_repeats
+            << " saves per engine\n";
+  save_table.Print(std::cout);
   const auto median_us = [](const SweepCell& cell) {
     return MicrosPerOp(cell, cell.seconds[cell.seconds.size() / 2]);
   };
@@ -278,6 +338,17 @@ int main(int argc, char** argv) {
            << ", \"seconds_max\": " << cell.seconds.back()
            << ", \"us_per_op\": " << MicrosPerOp(cell, median)
            << ", \"ops_per_sec\": " << (median > 0.0 ? cell.ops / median : 0.0)
+           << "}";
+    }
+    for (const SaveCell& cell : saves) {
+      const double median = cell.seconds[cell.seconds.size() / 2];
+      json << ",\n    {\"mode\": \"checkpoint-save\", \"rows\": " << cell.rows
+           << ", \"bytes\": " << cell.bytes
+           << ", \"repeats\": " << cell.seconds.size()
+           << ", \"seconds\": " << median
+           << ", \"seconds_min\": " << cell.seconds.front()
+           << ", \"seconds_max\": " << cell.seconds.back()
+           << ", \"saves_per_sec\": " << (median > 0.0 ? 1.0 / median : 0.0)
            << "}";
     }
     json << "\n  ]\n}\n";

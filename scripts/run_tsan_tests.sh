@@ -2,7 +2,8 @@
 # Builds with ThreadSanitizer and runs the tests that exercise the
 # lock-free observability counters, the multi-threaded FUME search and the
 # lazily built shared caches (arena slots, Dataset::packed_codes), so every
-# new atomic or lock is race-checked. Usage:
+# new atomic or lock is race-checked, plus the model decoders' mutation
+# sweep (malformed bytes must give a Status, never a crash). Usage:
 #
 #   scripts/run_tsan_tests.sh            # TSan (default)
 #   FUME_SANITIZE=address scripts/run_tsan_tests.sh   # ASan+UBSan instead
@@ -24,8 +25,8 @@ cmake --build "${BUILD_DIR}" -j --target obs_test fume_algorithm_test \
   forest_unlearn_test unlearn_kernel_test forest_cow_test forest_arena_test \
   lazy_unlearn_test stream_test serve_test thread_pool_test query_scope_test \
   bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test \
-  score_without_test data_test
+  score_without_test data_test serialize_test
 
 cd "${BUILD_DIR}"
 ctest --output-on-failure -j "$(nproc)" \
-  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIfRescore|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|ScoreWithout|Data)' "$@"
+  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIfRescore|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|ScoreWithout|Data|Serialize)' "$@"

@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 
+#include "util/byte_io.h"
+
 namespace fume {
 
 namespace {
@@ -15,258 +17,305 @@ constexpr char kMagic[8] = {'F', 'U', 'M', 'E', 'D', 'A', 'R', 'E'};
 // (no stats block) still load, with zeroed counters.
 constexpr uint32_t kVersion = 2;
 
-// ---- primitive writers/readers (little-endian native assumed; the format
-// is an internal artifact, not a cross-platform interchange format).
-
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod<uint64_t>(out, v.size());
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t max_size) {
-  uint64_t size = 0;
-  if (!ReadPod(in, &size)) return false;
-  if (size > max_size) return false;  // corrupt / hostile input
-  v->resize(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(v->data()),
-            static_cast<std::streamsize>(size * sizeof(T)));
-  }
-  return static_cast<bool>(in);
-}
-
 // Sanity bound for any vector in the file (1 billion elements).
 constexpr uint64_t kMaxVec = 1ull << 30;
 
-void WriteNode(std::ostream& out, const TreeNode* node) {
-  WritePod<uint8_t>(out, node->is_leaf() ? 1 : 0);
-  WritePod<int64_t>(out, node->count);
-  WritePod<int64_t>(out, node->pos);
+void WriteNode(ByteWriter& out, const TreeNode* node) {
+  out.Pod<uint8_t>(node->is_leaf() ? 1 : 0);
+  out.Pod<int64_t>(node->count);
+  out.Pod<int64_t>(node->pos);
   if (node->is_leaf()) {
-    WriteVec(out, node->rows);
+    out.Vec(node->rows);
     return;
   }
-  WritePod<int32_t>(out, node->attr);
-  WritePod<int32_t>(out, node->threshold);
-  WritePod<uint8_t>(out, node->is_random ? 1 : 0);
-  WriteVec(out, node->stats.cand_attrs);
+  out.Pod<int32_t>(node->attr);
+  out.Pod<int32_t>(node->threshold);
+  out.Pod<uint8_t>(node->is_random ? 1 : 0);
+  out.Vec(node->stats.cand_attrs);
   // The on-disk format predates the flat interleaved histogram buffer and
   // stays per-attribute (count vector, pos vector) pairs — de-interleave at
   // this boundary so old files keep loading byte-for-byte.
-  WritePod<uint64_t>(out, node->stats.cand_attrs.size());
+  out.Pod<uint64_t>(node->stats.cand_attrs.size());
   for (size_t i = 0; i < node->stats.cand_attrs.size(); ++i) {
     const int64_t* h = node->stats.HistRow(i);
     const size_t card = static_cast<size_t>(node->stats.HistCard(i));
-    std::vector<int64_t> hc(card), hp(card);
-    for (size_t v = 0; v < card; ++v) {
-      hc[v] = h[2 * v];
-      hp[v] = h[2 * v + 1];
+    for (size_t half = 0; half < 2; ++half) {
+      out.Pod<uint64_t>(card);
+      for (size_t v = 0; v < card; ++v) out.Pod<int64_t>(h[2 * v + half]);
     }
-    WriteVec(out, hc);
-    WriteVec(out, hp);
   }
   WriteNode(out, node->left.get());
   WriteNode(out, node->right.get());
 }
 
-Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth) {
+/// Decoding state shared by the nodes of one forest: the validated store
+/// shape, the rows already claimed by a leaf of the current tree, and
+/// reused histogram buffers.
+struct NodeReader {
+  ByteReader* in;
+  std::vector<int32_t> cards;
+  int64_t num_rows;
+  std::vector<uint64_t> claimed;  // bitmap over store rows, per tree
+  std::vector<int64_t> counts, positives;
+
+  bool Claim(RowId row) {
+    if (row < 0 || row >= num_rows) return false;
+    uint64_t& word = claimed[static_cast<size_t>(row) >> 6];
+    const uint64_t bit = uint64_t{1} << (static_cast<uint32_t>(row) & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+};
+
+Result<std::shared_ptr<TreeNode>> ReadNode(NodeReader& r, int depth) {
   if (depth > 64) return Status::IOError("forest file: tree too deep");
+  ByteReader& in = *r.in;
   auto node = std::make_shared<TreeNode>();
   uint8_t is_leaf = 0;
-  if (!ReadPod(in, &is_leaf) || !ReadPod(in, &node->count) ||
-      !ReadPod(in, &node->pos)) {
+  if (!in.Pod(&is_leaf) || !in.Pod(&node->count) || !in.Pod(&node->pos)) {
     return Status::IOError("forest file: truncated node header");
   }
+  if (is_leaf > 1 || node->count < 0 || node->count > r.num_rows ||
+      node->pos < 0 || node->pos > node->count) {
+    return Status::IOError("forest file: bad node header");
+  }
   if (is_leaf != 0) {
-    if (!ReadVec(in, &node->rows, kMaxVec)) {
+    uint64_t n = 0;
+    if (!in.Pod(&n) || n != static_cast<uint64_t>(node->count)) {
+      return Status::IOError("forest file: leaf size disagrees with count");
+    }
+    if (!in.Array(&node->rows, n)) {
       return Status::IOError("forest file: truncated leaf rows");
+    }
+    for (RowId row : node->rows) {
+      if (!r.Claim(row)) {
+        return Status::IOError(
+            "forest file: leaf row out of range or repeated in a tree");
+      }
     }
     return node;
   }
+  const std::vector<int32_t>& cards = r.cards;
+  const int p = static_cast<int>(cards.size());
   uint8_t is_random = 0;
-  if (!ReadPod(in, &node->attr) || !ReadPod(in, &node->threshold) ||
-      !ReadPod(in, &is_random)) {
+  if (!in.Pod(&node->attr) || !in.Pod(&node->threshold) ||
+      !in.Pod(&is_random)) {
     return Status::IOError("forest file: truncated split record");
   }
+  if (node->attr < 0 || node->attr >= p || node->threshold < 0 ||
+      node->threshold >= cards[static_cast<size_t>(node->attr)] ||
+      is_random > 1) {
+    return Status::IOError("forest file: bad split record");
+  }
   node->is_random = is_random != 0;
-  if (!ReadVec(in, &node->stats.cand_attrs, kMaxVec)) {
-    return Status::IOError("forest file: truncated candidate attrs");
+  std::vector<int>& cand = node->stats.cand_attrs;
+  if (!in.Vec(&cand, static_cast<uint64_t>(p))) {
+    return Status::IOError("forest file: bad candidate attrs");
+  }
+  bool has_split_attr = false;
+  for (size_t i = 0; i < cand.size(); ++i) {
+    if (cand[i] < 0 || cand[i] >= p || (i > 0 && cand[i] <= cand[i - 1])) {
+      return Status::IOError(
+          "forest file: candidate attrs not sorted, unique and in range");
+    }
+    has_split_attr |= cand[i] == node->attr;
+  }
+  if (!has_split_attr) {
+    return Status::IOError("forest file: split attr is not a candidate");
   }
   uint64_t num_hists = 0;
-  if (!ReadPod(in, &num_hists) || num_hists != node->stats.cand_attrs.size()) {
+  if (!in.Pod(&num_hists) || num_hists != cand.size()) {
     return Status::IOError("forest file: histogram count mismatch");
   }
-  node->stats.hist_offsets.assign(num_hists + 1, 0);
-  node->stats.hist.clear();
-  std::vector<int64_t> hc, hp;
-  for (uint64_t i = 0; i < num_hists; ++i) {
-    if (!ReadVec(in, &hc, kMaxVec) || !ReadVec(in, &hp, kMaxVec) ||
-        hc.size() != hp.size()) {
-      return Status::IOError("forest file: truncated histograms");
+  // Each histogram is read only after its length matches the attribute's
+  // cardinality, and appended as its bytes arrive.
+  std::vector<int32_t>& offsets = node->stats.hist_offsets;
+  std::vector<int64_t>& hist = node->stats.hist;
+  offsets.assign(1, 0);
+  for (int attr : cand) {
+    const int32_t card = cards[static_cast<size_t>(attr)];
+    if (!in.Vec(&r.counts, static_cast<uint64_t>(card)) ||
+        !in.Vec(&r.positives, static_cast<uint64_t>(card)) ||
+        r.counts.size() != static_cast<size_t>(card) ||
+        r.positives.size() != static_cast<size_t>(card)) {
+      return Status::IOError(
+          "forest file: histogram length disagrees with cardinality");
     }
-    node->stats.hist_offsets[i + 1] =
-        node->stats.hist_offsets[i] + static_cast<int32_t>(hc.size());
-    for (size_t v = 0; v < hc.size(); ++v) {
-      node->stats.hist.push_back(hc[v]);
-      node->stats.hist.push_back(hp[v]);
+    if (int64_t{offsets.back()} + card > (int64_t{1} << 30)) {
+      return Status::IOError("forest file: histograms too large");
+    }
+    offsets.push_back(offsets.back() + card);
+    for (int32_t v = 0; v < card; ++v) {
+      hist.push_back(r.counts[static_cast<size_t>(v)]);
+      hist.push_back(r.positives[static_cast<size_t>(v)]);
     }
   }
   node->stats.count = node->count;
   node->stats.pos = node->pos;
-  FUME_ASSIGN_OR_RETURN(node->left, ReadNode(in, depth + 1));
-  FUME_ASSIGN_OR_RETURN(node->right, ReadNode(in, depth + 1));
+  FUME_ASSIGN_OR_RETURN(node->left, ReadNode(r, depth + 1));
+  FUME_ASSIGN_OR_RETURN(node->right, ReadNode(r, depth + 1));
+  if (node->count != node->left->count + node->right->count ||
+      node->pos != node->left->pos + node->right->pos) {
+    return Status::IOError("forest file: node counts disagree with children");
+  }
   return node;
 }
 
 }  // namespace
 
-Status SaveForest(const DareForest& forest, std::ostream& out) {
+Status SaveForest(const DareForest& forest, std::ostream& stream) {
   // No tag escapes a flush boundary (DESIGN.md §6 invariant 9): a lazily
   // deferred forest is flushed before a single byte is written, so saved
   // models — and every checkpoint built on this — are always exact. The
   // CHECK is belt-and-braces for forests mutated concurrently (illegal).
   forest.EnsureFlushed();
   FUME_CHECK(!forest.HasLazyTags());
-  out.write(kMagic, sizeof(kMagic));
-  WritePod<uint32_t>(out, kVersion);
+  ByteWriter out(&stream);
+  out.Bytes(kMagic, sizeof(kMagic));
+  out.Pod<uint32_t>(kVersion);
 
   // Config block.
   const ForestConfig& config = forest.config();
-  WritePod<int32_t>(out, config.num_trees);
-  WritePod<int32_t>(out, config.max_depth);
-  WritePod<int32_t>(out, config.random_depth);
-  WritePod<int32_t>(out, config.min_samples_split);
-  WritePod<int32_t>(out, config.min_samples_leaf);
-  WritePod<int32_t>(out, config.num_candidate_attrs);
-  WritePod<uint8_t>(out,
-                    config.threshold_mode == ThresholdMode::kExact ? 0 : 1);
-  WritePod<int32_t>(out, config.num_sampled_thresholds);
-  WritePod<uint64_t>(out, config.seed);
+  out.Pod<int32_t>(config.num_trees);
+  out.Pod<int32_t>(config.max_depth);
+  out.Pod<int32_t>(config.random_depth);
+  out.Pod<int32_t>(config.min_samples_split);
+  out.Pod<int32_t>(config.min_samples_leaf);
+  out.Pod<int32_t>(config.num_candidate_attrs);
+  out.Pod<uint8_t>(config.threshold_mode == ThresholdMode::kExact ? 0 : 1);
+  out.Pod<int32_t>(config.num_sampled_thresholds);
+  out.Pod<uint64_t>(config.seed);
 
   // Unlearning work counters (v2+).
   const DeletionStats& stats = forest.deletion_stats();
-  WritePod<int64_t>(out, stats.nodes_visited);
-  WritePod<int64_t>(out, stats.nodes_updated);
-  WritePod<int64_t>(out, stats.subtrees_retrained);
-  WritePod<int64_t>(out, stats.rows_retrained);
-  WritePod<int64_t>(out, stats.leaves_updated);
+  out.Pod<int64_t>(stats.nodes_visited);
+  out.Pod<int64_t>(stats.nodes_updated);
+  out.Pod<int64_t>(stats.subtrees_retrained);
+  out.Pod<int64_t>(stats.rows_retrained);
+  out.Pod<int64_t>(stats.leaves_updated);
 
-  // Training store block.
+  // Training store block: cardinalities, row count, row-major codes, labels.
   const TrainingStore& store = forest.store();
   const int p = store.num_attrs();
-  std::vector<int32_t> cards(static_cast<size_t>(p));
-  for (int j = 0; j < p; ++j) cards[static_cast<size_t>(j)] = store.cardinality(j);
-  WriteVec(out, cards);
-  WritePod<int64_t>(out, store.num_rows());
+  out.Pod<uint64_t>(static_cast<uint64_t>(p));
+  for (int j = 0; j < p; ++j) out.Pod<int32_t>(store.cardinality(j));
+  out.Pod<int64_t>(store.num_rows());
   for (RowId r = 0; r < store.num_rows(); ++r) {
-    for (int j = 0; j < p; ++j) WritePod<int32_t>(out, store.code(r, j));
+    out.Span(store.codes(r), static_cast<size_t>(p));
   }
   for (RowId r = 0; r < store.num_rows(); ++r) {
-    WritePod<uint8_t>(out, static_cast<uint8_t>(store.label(r)));
+    out.Pod<uint8_t>(static_cast<uint8_t>(store.label(r)));
   }
 
   // Trees.
-  WritePod<int32_t>(out, forest.num_trees());
+  out.Pod<int32_t>(forest.num_trees());
   for (int t = 0; t < forest.num_trees(); ++t) {
-    WritePod<int32_t>(out, forest.tree(t).tree_id());
+    out.Pod<int32_t>(forest.tree(t).tree_id());
     const TreeNode* root = forest.tree(t).root();
-    WritePod<uint8_t>(out, root != nullptr ? 1 : 0);
+    out.Pod<uint8_t>(root != nullptr ? 1 : 0);
     if (root != nullptr) WriteNode(out, root);
   }
-  if (!out) return Status::IOError("forest write failed");
+  if (!out.Finish()) return Status::IOError("forest write failed");
   return Status::OK();
 }
 
-Result<DareForest> LoadForest(std::istream& in) {
+Result<DareForest> LoadForest(std::istream& stream) {
+  ByteReader in(&stream);
   char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (!in.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::IOError("not a FUME forest file (bad magic)");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) || version < 1 || version > kVersion) {
+  if (!in.Pod(&version) || version < 1 || version > kVersion) {
     return Status::IOError("unsupported forest file version");
   }
 
   ForestConfig config;
   uint8_t mode = 0;
-  if (!ReadPod(in, &config.num_trees) || !ReadPod(in, &config.max_depth) ||
-      !ReadPod(in, &config.random_depth) ||
-      !ReadPod(in, &config.min_samples_split) ||
-      !ReadPod(in, &config.min_samples_leaf) ||
-      !ReadPod(in, &config.num_candidate_attrs) || !ReadPod(in, &mode) ||
-      !ReadPod(in, &config.num_sampled_thresholds) ||
-      !ReadPod(in, &config.seed)) {
+  if (!in.Pod(&config.num_trees) || !in.Pod(&config.max_depth) ||
+      !in.Pod(&config.random_depth) || !in.Pod(&config.min_samples_split) ||
+      !in.Pod(&config.min_samples_leaf) ||
+      !in.Pod(&config.num_candidate_attrs) || !in.Pod(&mode) ||
+      !in.Pod(&config.num_sampled_thresholds) || !in.Pod(&config.seed)) {
     return Status::IOError("forest file: truncated config block");
+  }
+  // The checks DareForest::Train makes, so a loaded forest can keep
+  // unlearning and adding.
+  if (mode > 1 || config.num_trees < 1 || config.max_depth < 1 ||
+      config.random_depth < 0 || config.random_depth > config.max_depth) {
+    return Status::IOError("forest file: bad config block");
   }
   config.threshold_mode =
       mode == 0 ? ThresholdMode::kExact : ThresholdMode::kSampled;
 
   DeletionStats stats;
   if (version >= 2) {
-    if (!ReadPod(in, &stats.nodes_visited) ||
-        !ReadPod(in, &stats.nodes_updated) ||
-        !ReadPod(in, &stats.subtrees_retrained) ||
-        !ReadPod(in, &stats.rows_retrained) ||
-        !ReadPod(in, &stats.leaves_updated)) {
+    if (!in.Pod(&stats.nodes_visited) || !in.Pod(&stats.nodes_updated) ||
+        !in.Pod(&stats.subtrees_retrained) || !in.Pod(&stats.rows_retrained) ||
+        !in.Pod(&stats.leaves_updated)) {
       return Status::IOError("forest file: truncated deletion-stats block");
     }
   }
 
   std::vector<int32_t> cards;
-  if (!ReadVec(in, &cards, kMaxVec) || cards.empty()) {
+  if (!in.Vec(&cards, kMaxVec) || cards.empty()) {
     return Status::IOError("forest file: bad cardinality block");
   }
+  for (int32_t card : cards) {
+    if (card < 0) return Status::IOError("forest file: negative cardinality");
+  }
+  const uint64_t p = cards.size();
   int64_t num_rows = 0;
-  if (!ReadPod(in, &num_rows) || num_rows < 0 ||
-      num_rows > static_cast<int64_t>(kMaxVec)) {
+  if (!in.Pod(&num_rows) || num_rows < 0 ||
+      num_rows > static_cast<int64_t>(kMaxVec) ||
+      !in.Fits(static_cast<uint64_t>(num_rows) * (4 * p + 1))) {
     return Status::IOError("forest file: bad row count");
   }
-  std::vector<int32_t> codes(static_cast<size_t>(num_rows) * cards.size());
-  if (!codes.empty()) {
-    in.read(reinterpret_cast<char*>(codes.data()),
-            static_cast<std::streamsize>(codes.size() * sizeof(int32_t)));
+  std::vector<int32_t> codes;
+  std::vector<uint8_t> labels;
+  if (!in.Array(&codes, static_cast<uint64_t>(num_rows) * p) ||
+      !in.Array(&labels, static_cast<uint64_t>(num_rows))) {
+    return Status::IOError("forest file: truncated store block");
   }
-  std::vector<uint8_t> labels(static_cast<size_t>(num_rows));
-  if (!labels.empty()) {
-    in.read(reinterpret_cast<char*>(labels.data()),
-            static_cast<std::streamsize>(labels.size()));
+  for (size_t i = 0; i < codes.size(); i += p) {
+    for (size_t j = 0; j < p; ++j) {
+      if (codes[i + j] < 0 || codes[i + j] >= cards[j]) {
+        return Status::IOError("forest file: store code out of range");
+      }
+    }
   }
-  if (!in) return Status::IOError("forest file: truncated store block");
+  for (uint8_t label : labels) {
+    if (label > 1) return Status::IOError("forest file: label is not 0/1");
+  }
+  NodeReader nodes{&in, cards, num_rows, {}, {}, {}};
   auto store = TrainingStore::FromParts(std::move(cards), std::move(codes),
                                         std::move(labels));
 
+  // DaRE trees do not bootstrap: every tree holds the same training rows.
   int32_t num_trees = 0;
-  if (!ReadPod(in, &num_trees) || num_trees < 0 || num_trees > 1000000) {
+  if (!in.Pod(&num_trees) || num_trees != config.num_trees) {
     return Status::IOError("forest file: bad tree count");
   }
+  const size_t words = (static_cast<size_t>(num_rows) + 63) / 64;
+  std::vector<uint64_t> first_rows;
   std::vector<DareTree> trees;
-  trees.reserve(static_cast<size_t>(num_trees));
   for (int32_t t = 0; t < num_trees; ++t) {
     int32_t tree_id = 0;
     uint8_t has_root = 0;
-    if (!ReadPod(in, &tree_id) || !ReadPod(in, &has_root)) {
-      return Status::IOError("forest file: truncated tree header");
+    if (!in.Pod(&tree_id) || !in.Pod(&has_root) || has_root > 1) {
+      return Status::IOError("forest file: bad tree header");
     }
+    nodes.claimed.assign(words, 0);
     std::shared_ptr<TreeNode> root;
     if (has_root != 0) {
-      FUME_ASSIGN_OR_RETURN(root, ReadNode(in, 0));
+      FUME_ASSIGN_OR_RETURN(root, ReadNode(nodes, 0));
+    }
+    if (t == 0) {
+      first_rows.swap(nodes.claimed);
+    } else if (nodes.claimed != first_rows) {
+      return Status::IOError("forest file: trees hold different rows");
     }
     trees.push_back(
         DareTree::FromParts(store, config, tree_id, std::move(root)));

@@ -9,6 +9,7 @@
 #include "forest/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/byte_io.h"
 #include "util/check.h"
 
 namespace fume {
@@ -17,47 +18,13 @@ namespace {
 constexpr char kShardMagic[8] = {'F', 'U', 'M', 'E', 'S', 'H', 'R', 'D'};
 constexpr uint32_t kShardVersion = 1;
 constexpr uint64_t kMaxVec = 1ull << 30;
+constexpr char kTruncated[] = "truncated sharded forest stream";
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-Status ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!in.good()) return Status::IOError("truncated sharded forest stream");
-  return Status::OK();
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
-Status ReadVec(std::istream& in, std::vector<T>* v) {
-  uint64_t count = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &count));
-  if (count > kMaxVec) return Status::IOError("implausible vector length");
-  v->resize(count);
-  if (count > 0) {
-    in.read(reinterpret_cast<char*>(v->data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-    if (!in.good()) return Status::IOError("truncated sharded forest stream");
-  }
-  return Status::OK();
 }
 
 Status ValidateShardConfig(const ShardConfig& sc) {
@@ -524,33 +491,34 @@ Status ShardedForest::SaveWithCache(std::ostream& out,
     blob = std::move(os).str();
     serialized->Inc();
   }
-  out.write(kShardMagic, sizeof(kShardMagic));
-  WritePod(out, kShardVersion);
-  WritePod(out, static_cast<uint32_t>(n));
-  WritePod(out, static_cast<uint8_t>(shard_config_.placement));
-  WritePod(out, static_cast<uint8_t>(shard_config_.vote));
-  WritePod(out, static_cast<int32_t>(shard_config_.slice_attr));
-  WritePod(out, shard_config_.slice_value);
-  WritePod(out, static_cast<int32_t>(shard_config_.hot_shards));
-  WriteVec(out, *shard_of_);
-  WriteVec(out, *local_of_);
-  for (int s = 0; s < n; ++s) {
-    const std::string& blob = (*blobs)[static_cast<size_t>(s)];
-    WritePod(out, static_cast<uint64_t>(blob.size()));
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  ByteWriter w(&out);
+  w.Bytes(kShardMagic, sizeof(kShardMagic));
+  w.Pod(kShardVersion);
+  w.Pod(static_cast<uint32_t>(n));
+  w.Pod(static_cast<uint8_t>(shard_config_.placement));
+  w.Pod(static_cast<uint8_t>(shard_config_.vote));
+  w.Pod(static_cast<int32_t>(shard_config_.slice_attr));
+  w.Pod(shard_config_.slice_value);
+  w.Pod(static_cast<int32_t>(shard_config_.hot_shards));
+  w.Vec(*shard_of_);
+  w.Vec(*local_of_);
+  for (const std::string& blob : *blobs) {
+    w.Pod(static_cast<uint64_t>(blob.size()));
+    w.Bytes(blob.data(), blob.size());
   }
-  if (!out.good()) return Status::IOError("sharded forest write failed");
+  if (!w.Finish()) return Status::IOError("sharded forest write failed");
   return Status::OK();
 }
 
-Result<ShardedForest> ShardedForest::Load(std::istream& in) {
+Result<ShardedForest> ShardedForest::Load(std::istream& stream) {
+  ByteReader in(&stream);
   char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kShardMagic, sizeof(magic)) != 0) {
+  if (!in.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kShardMagic, sizeof(magic)) != 0) {
     return Status::IOError("not a FUME sharded forest (bad magic)");
   }
   uint32_t version = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &version));
+  if (!in.Pod(&version)) return Status::IOError(kTruncated);
   if (version != kShardVersion) {
     return Status::IOError("unsupported sharded forest version " +
                            std::to_string(version));
@@ -561,12 +529,10 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   int32_t slice_attr = 0;
   int32_t slice_value = 0;
   int32_t hot_shards = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &num_shards));
-  FUME_RETURN_NOT_OK(ReadPod(in, &placement));
-  FUME_RETURN_NOT_OK(ReadPod(in, &vote));
-  FUME_RETURN_NOT_OK(ReadPod(in, &slice_attr));
-  FUME_RETURN_NOT_OK(ReadPod(in, &slice_value));
-  FUME_RETURN_NOT_OK(ReadPod(in, &hot_shards));
+  if (!in.Pod(&num_shards) || !in.Pod(&placement) || !in.Pod(&vote) ||
+      !in.Pod(&slice_attr) || !in.Pod(&slice_value) || !in.Pod(&hot_shards)) {
+    return Status::IOError(kTruncated);
+  }
   if (placement > 1 || vote > 1) {
     return Status::IOError("corrupt sharded forest header");
   }
@@ -580,21 +546,28 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   FUME_RETURN_NOT_OK(ValidateShardConfig(out.shard_config_));
   auto shard_of = std::make_shared<std::vector<uint8_t>>();
   auto local_of = std::make_shared<std::vector<RowId>>();
-  FUME_RETURN_NOT_OK(ReadVec(in, shard_of.get()));
-  FUME_RETURN_NOT_OK(ReadVec(in, local_of.get()));
+  if (!in.Vec(shard_of.get(), kMaxVec) || !in.Vec(local_of.get(), kMaxVec)) {
+    return Status::IOError(kTruncated);
+  }
   if (shard_of->size() != local_of->size()) {
     return Status::IOError("sharded forest placement maps disagree");
   }
   out.shards_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    uint64_t len = 0;
-    FUME_RETURN_NOT_OK(ReadPod(in, &len));
-    if (len > kMaxVec) return Status::IOError("implausible shard blob size");
-    std::string blob(len, '\0');
-    in.read(blob.data(), static_cast<std::streamsize>(len));
-    if (!in.good()) return Status::IOError("truncated shard blob");
-    std::istringstream is(blob, std::ios::binary);
+    std::string blob;
+    if (!in.Vec(&blob, kMaxVec)) return Status::IOError("truncated shard blob");
+    std::istringstream is(std::move(blob), std::ios::binary);
     FUME_ASSIGN_OR_RETURN(DareForest shard, LoadForest(is));
+    // The shards partition one dataset, so they share one schema.
+    if (s > 0) {
+      const TrainingStore& first = out.shards_[0].store();
+      const TrainingStore& store = shard.store();
+      bool same = store.num_attrs() == first.num_attrs();
+      for (int j = 0; same && j < store.num_attrs(); ++j) {
+        same = store.cardinality(j) == first.cardinality(j);
+      }
+      if (!same) return Status::IOError("shard stores disagree on schema");
+    }
     out.shards_.push_back(std::move(shard));
   }
   // Cross-validate the maps against the shard stores: every global id must

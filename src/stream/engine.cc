@@ -15,6 +15,7 @@
 #include "fairness/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/byte_io.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -84,7 +85,7 @@ class MappedRemoval : public RemovalMethod {
   const std::vector<RowId>* dense_to_id_;
 };
 
-// ---- checkpoint primitives (little-endian native, like forest/serialize).
+// ---- checkpoint format (little-endian native, like forest/serialize).
 
 constexpr char kCkptMagic[8] = {'F', 'U', 'M', 'E', 'S', 'T', 'R', 'M'};
 /// v1: engine state + one monolithic SaveForest blob. v2: identical engine
@@ -94,35 +95,24 @@ constexpr char kCkptMagic[8] = {'F', 'U', 'M', 'E', 'S', 'T', 'R', 'M'};
 constexpr uint32_t kCkptVersion = 1;
 constexpr uint32_t kCkptVersionSharded = 2;
 
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteSubset(std::ostream& out, const AttributableSubset& s) {
-  WritePod<uint32_t>(out, static_cast<uint32_t>(s.predicate.num_literals()));
+void WriteSubset(ByteWriter& out, const AttributableSubset& s) {
+  out.Pod<uint32_t>(static_cast<uint32_t>(s.predicate.num_literals()));
   for (const Literal& lit : s.predicate.literals()) {
-    WritePod<int32_t>(out, lit.attr);
-    WritePod<uint8_t>(out, static_cast<uint8_t>(lit.op));
-    WritePod<int32_t>(out, lit.value);
+    out.Pod<int32_t>(lit.attr);
+    out.Pod<uint8_t>(static_cast<uint8_t>(lit.op));
+    out.Pod<int32_t>(lit.value);
   }
-  WritePod<double>(out, s.support);
-  WritePod<int64_t>(out, s.num_rows);
-  WritePod<double>(out, s.phi);
-  WritePod<double>(out, s.attribution);
-  WritePod<double>(out, s.new_fairness);
-  WritePod<double>(out, s.new_accuracy);
+  out.Pod<double>(s.support);
+  out.Pod<int64_t>(s.num_rows);
+  out.Pod<double>(s.phi);
+  out.Pod<double>(s.attribution);
+  out.Pod<double>(s.new_fairness);
+  out.Pod<double>(s.new_accuracy);
 }
 
-Result<AttributableSubset> ReadSubset(std::istream& in) {
+Result<AttributableSubset> ReadSubset(ByteReader& in) {
   uint32_t num_literals = 0;
-  if (!ReadPod(in, &num_literals) || num_literals > 64) {
+  if (!in.Pod(&num_literals) || num_literals > 64) {
     return Status::IOError("checkpoint: bad literal count");
   }
   std::vector<Literal> literals;
@@ -130,18 +120,20 @@ Result<AttributableSubset> ReadSubset(std::istream& in) {
   for (uint32_t i = 0; i < num_literals; ++i) {
     Literal lit;
     uint8_t op = 0;
-    if (!ReadPod(in, &lit.attr) || !ReadPod(in, &op) ||
-        !ReadPod(in, &lit.value)) {
+    if (!in.Pod(&lit.attr) || !in.Pod(&op) || !in.Pod(&lit.value)) {
       return Status::IOError("checkpoint: truncated literal");
+    }
+    if (op > static_cast<uint8_t>(LiteralOp::kGt)) {
+      return Status::IOError("checkpoint: bad literal operator");
     }
     lit.op = static_cast<LiteralOp>(op);
     literals.push_back(lit);
   }
   AttributableSubset s;
   s.predicate = Predicate(std::move(literals));
-  if (!ReadPod(in, &s.support) || !ReadPod(in, &s.num_rows) ||
-      !ReadPod(in, &s.phi) || !ReadPod(in, &s.attribution) ||
-      !ReadPod(in, &s.new_fairness) || !ReadPod(in, &s.new_accuracy)) {
+  if (!in.Pod(&s.support) || !in.Pod(&s.num_rows) || !in.Pod(&s.phi) ||
+      !in.Pod(&s.attribution) || !in.Pod(&s.new_fairness) ||
+      !in.Pod(&s.new_accuracy)) {
     return Status::IOError("checkpoint: truncated subset record");
   }
   return s;
@@ -653,30 +645,26 @@ Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
   // DareForest::EnsureFlushed — a deferring engine is thread-confined
   // (serve holds the writer lock around checkpoints).
   const_cast<StreamEngine*>(this)->FlushLazy();
-  out.write(kCkptMagic, sizeof(kCkptMagic));
-  WritePod<uint32_t>(out, sharded_.has_value() ? kCkptVersionSharded
-                                               : kCkptVersion);
-  WritePod<int64_t>(out, last_seq_);
-  WritePod<double>(out, metric_);
-  WritePod<double>(out, accuracy_);
-  WritePod<double>(out, metric_at_last_search_);
-  WritePod<int64_t>(out, staleness_ops_);
-  WritePod<uint64_t>(out, store_ids_.size());
-  if (!store_ids_.empty()) {
-    out.write(reinterpret_cast<const char*>(store_ids_.data()),
-              static_cast<std::streamsize>(store_ids_.size() *
-                                           sizeof(RowId)));
-  }
-  WritePod<uint8_t>(out, explanation_.has_value() ? 1 : 0);
+  ByteWriter w(&out);
+  w.Bytes(kCkptMagic, sizeof(kCkptMagic));
+  w.Pod<uint32_t>(sharded_.has_value() ? kCkptVersionSharded : kCkptVersion);
+  w.Pod<int64_t>(last_seq_);
+  w.Pod<double>(metric_);
+  w.Pod<double>(accuracy_);
+  w.Pod<double>(metric_at_last_search_);
+  w.Pod<int64_t>(staleness_ops_);
+  w.Vec(store_ids_);
+  w.Pod<uint8_t>(explanation_.has_value() ? 1 : 0);
   if (explanation_.has_value()) {
-    WritePod<double>(out, explanation_->original_fairness);
-    WritePod<double>(out, explanation_->original_accuracy);
-    WritePod<uint32_t>(out,
-                       static_cast<uint32_t>(explanation_->top_k.size()));
+    w.Pod<double>(explanation_->original_fairness);
+    w.Pod<double>(explanation_->original_accuracy);
+    w.Pod<uint32_t>(static_cast<uint32_t>(explanation_->top_k.size()));
     for (const AttributableSubset& s : explanation_->top_k) {
-      WriteSubset(out, s);
+      WriteSubset(w, s);
     }
   }
+  // The model encoders write to the stream themselves, after this header.
+  w.Flush();
   if (sharded_.has_value()) {
     // Incremental: only shards dirtied since the previous checkpoint are
     // re-serialized; the rest reuse their cached bytes verbatim (counted
@@ -706,49 +694,43 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
                                            const Schema& schema, Dataset test,
                                            StreamEngineConfig config) {
   obs::TraceSpan span("stream.restore");
+  ByteReader reader(&in);
   char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCkptMagic, sizeof(kCkptMagic)) != 0) {
+  if (!reader.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kCkptMagic, sizeof(kCkptMagic)) != 0) {
     return Status::IOError("not a FUME stream checkpoint (bad magic)");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) ||
+  if (!reader.Pod(&version) ||
       (version != kCkptVersion && version != kCkptVersionSharded)) {
     return Status::IOError("unsupported stream checkpoint version");
   }
   StreamEngine engine(std::move(test), std::move(config));
   double saved_metric = 0.0;
   double saved_accuracy = 0.0;
-  if (!ReadPod(in, &engine.last_seq_) || !ReadPod(in, &saved_metric) ||
-      !ReadPod(in, &saved_accuracy) ||
-      !ReadPod(in, &engine.metric_at_last_search_) ||
-      !ReadPod(in, &engine.staleness_ops_)) {
+  if (!reader.Pod(&engine.last_seq_) || !reader.Pod(&saved_metric) ||
+      !reader.Pod(&saved_accuracy) ||
+      !reader.Pod(&engine.metric_at_last_search_) ||
+      !reader.Pod(&engine.staleness_ops_)) {
     return Status::IOError("checkpoint: truncated engine state");
   }
-  uint64_t num_live = 0;
-  if (!ReadPod(in, &num_live) || num_live > (1ull << 30)) {
-    return Status::IOError("checkpoint: bad live-row count");
-  }
-  engine.store_ids_.resize(num_live);
-  if (num_live > 0) {
-    in.read(reinterpret_cast<char*>(engine.store_ids_.data()),
-            static_cast<std::streamsize>(num_live * sizeof(RowId)));
+  if (!reader.Vec(&engine.store_ids_, uint64_t{1} << 30)) {
+    return Status::IOError("checkpoint: bad live-id block");
   }
   uint8_t has_explanation = 0;
-  if (!in || !ReadPod(in, &has_explanation)) {
-    return Status::IOError("checkpoint: truncated live-id block");
+  if (!reader.Pod(&has_explanation) || has_explanation > 1) {
+    return Status::IOError("checkpoint: bad explanation flag");
   }
   if (has_explanation != 0) {
     FumeResult cached;
     uint32_t k = 0;
-    if (!ReadPod(in, &cached.original_fairness) ||
-        !ReadPod(in, &cached.original_accuracy) || !ReadPod(in, &k) ||
+    if (!reader.Pod(&cached.original_fairness) ||
+        !reader.Pod(&cached.original_accuracy) || !reader.Pod(&k) ||
         k > 100000) {
       return Status::IOError("checkpoint: truncated explanation header");
     }
-    cached.top_k.reserve(k);
     for (uint32_t i = 0; i < k; ++i) {
-      FUME_ASSIGN_OR_RETURN(AttributableSubset s, ReadSubset(in));
+      FUME_ASSIGN_OR_RETURN(AttributableSubset s, ReadSubset(reader));
       cached.top_k.push_back(std::move(s));
     }
     engine.explanation_ = std::move(cached);
@@ -795,6 +777,17 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
     if (schema.attribute(j).cardinality() != store.cardinality(j)) {
       return Status::Invalid("restore schema cardinality mismatch at '" +
                              schema.attribute(j).name + "'");
+    }
+  }
+  if (engine.explanation_.has_value()) {
+    for (const AttributableSubset& s : engine.explanation_->top_k) {
+      for (const Literal& lit : s.predicate.literals()) {
+        if (lit.attr < 0 || lit.attr >= schema.num_attributes() ||
+            lit.value < 0 ||
+            lit.value >= schema.attribute(lit.attr).cardinality()) {
+          return Status::IOError("checkpoint: explanation literal out of range");
+        }
+      }
     }
   }
   const int64_t id_limit = engine.sharded_.has_value()
